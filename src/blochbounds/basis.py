@@ -12,9 +12,9 @@ for d = 3 the eight standard Gell-Mann matrices.
 
 from __future__ import annotations
 
-from operator import index as _as_index
-
 import numpy as np
+
+from .states import _check_local_dim
 
 __all__ = ["GeneratorBasis", "generate_basis"]
 
@@ -89,11 +89,9 @@ def generate_basis(d) -> GeneratorBasis:
     Raises
     ------
     ValueError
-        If ``d < 2``.
+        If ``d`` is not an integer of at least 2.
     """
-    d = _as_index(d)
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
+    d = _check_local_dim(d)
     mats = []
     labels = []
     for j in range(d):

@@ -9,18 +9,21 @@ decomposes as
     rho = I/d^n + sum_S  Op-sum(S) / (2^|S| d^(n-|S|)),
 
 which makes the full map of 2^n - 1 tensors an exact, invertible encoding.
+Every tensor is a slice of one coefficient array taken over an extended
+local basis (the identity at index 0, then the generators); ``reconstruct``
+runs the same pass in reverse.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import generate_basis
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix
 
 __all__ = [
     "IMAG_RESIDUE_TOL",
@@ -33,35 +36,19 @@ __all__ = [
     "tensor_norm_sq",
     "purity_from_decomposition",
     "norms_by_order",
-    "embed_operator",
     "pure_pair_sum_residual",
     "pure_triple_sum_residual",
 ]
 
 IMAG_RESIDUE_TOL = 1e-10
 
-# einsum programs per subset size: the reduced state is reshaped to row
-# digits then column digits, and each generator enters as G[col, row].
-_CONTRACTIONS = {
-    1: "ab,iba->i",
-    2: "abcd,ica,jdb->ij",
-    3: "abcdef,ida,jeb,kfc->ijk",
-    4: "abcdefgh,iea,jfb,kgc,lhd->ijkl",
-}
-
-# mirror programs used when rebuilding operators from coefficients,
-# with each generator entering as G[row, col].
-_EXPANSIONS = {
-    1: "i,iab->ab",
-    2: "ij,iac,jbd->abcd",
-    3: "ijk,iad,jbe,kcf->abcdef",
-    4: "ijkl,iae,jbf,kcg,ldh->abcdefgh",
-}
-
 
 @lru_cache(maxsize=None)
-def _generator_stack(d: int) -> np.ndarray:
-    return generate_basis(d).stacked()
+def _extended_stack(d: int) -> np.ndarray:
+    """Read-only (d**2, d, d) local basis: the identity at index 0, then the generators."""
+    stack = np.concatenate([np.eye(d, dtype=complex)[None], generate_basis(d).stacked()])
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass
@@ -146,67 +133,53 @@ def _validated_subset(subset, num_parties):
     return parts
 
 
-def bloch_tensor(rho: DensityMatrix, subset, method: str = "contract") -> BlochTensor:
-    """Correlation tensor of ``rho`` on the given parties.
+def _coefficients(rho: DensityMatrix) -> np.ndarray:
+    """All ``Tr(rho B_i1 x ... x B_in)`` over the extended basis, shape ``(d**2,) * n``.
 
-    ``method="contract"`` reduces to the subset marginal and contracts it
-    with the stacked generators; ``method="kron"`` builds every full-space
-    operator explicitly and takes plain traces. The two agree to near
-    machine precision; the second exists as the slow reference path.
-
-    Raises ValueError if the subset is invalid or if any coefficient carries
-    an imaginary residue above ``IMAG_RESIDUE_TOL`` (a non-Hermitian input).
+    One tensordot per party contracts its row and column index of ``rho``
+    with the local basis. Index 0 on a party stands for the identity there,
+    so ``C[0, ..., 0]`` is the trace and every ``T^(S)`` is a slice.
     """
-    parts = _validated_subset(subset, rho.num_parties)
-    if method == "contract":
-        raw = _contract_tensor(rho, parts)
-    elif method == "kron":
-        raw = _kron_tensor(rho, parts)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'contract' or 'kron'")
-    residue = float(np.abs(raw.imag).max())
+    d, n = rho.local_dim, rho.num_parties
+    basis = _extended_stack(d)
+    coeffs = rho.matrix.reshape((d,) * (2 * n))
+    for rows in range(n, 0, -1):
+        # the next party's row digit is axis 0, its column digit axis ``rows``
+        coeffs = np.tensordot(coeffs, basis, axes=([0, rows], [2, 1]))
+    # the trace entry is validated by the state itself; skip it here
+    residue = float(np.abs(coeffs.imag).reshape(-1)[1:].max())
     if residue > IMAG_RESIDUE_TOL:
         raise ValueError(
             f"coefficients carry imaginary residue {residue:.3e}; input is not Hermitian enough"
         )
-    return BlochTensor(parts, rho.local_dim, raw.real.reshape(-1))
+    return coeffs.real
 
 
-def _contract_tensor(rho, parts):
+def _subset_slice(parts, num_parties):
+    """Index picking generators on ``parts`` and the identity elsewhere."""
+    return tuple(
+        slice(1, None) if p in parts else 0 for p in range(1, num_parties + 1)
+    )
+
+
+def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
+    """Correlation tensor of ``rho`` on the given parties.
+
+    Raises ValueError if the subset is invalid or if any coefficient of the
+    state, on this subset or another, carries an imaginary residue above
+    ``IMAG_RESIDUE_TOL`` (a non-Hermitian input).
+    """
+    parts = _validated_subset(subset, rho.num_parties)
+    coeffs = _coefficients(rho)
+    return BlochTensor(parts, rho.local_dim, coeffs[_subset_slice(parts, rho.num_parties)])
+
+
+def full_decomposition(rho: DensityMatrix) -> BlochDecomposition:
+    """Tensors for all 2^n - 1 non-empty party subsets of ``rho``, from one pass."""
     d, n = rho.local_dim, rho.num_parties
-    k = len(parts)
-    reduced = rho.matrix if k == n else partial_trace(rho, parts).matrix
-    stack = _generator_stack(d)
-    operands = [reduced.reshape((d,) * (2 * k))] + [stack] * k
-    return np.einsum(_CONTRACTIONS[k], *operands, optimize=True)
-
-
-def _kron_tensor(rho, parts):
-    d, n = rho.local_dim, rho.num_parties
-    stack = _generator_stack(d)
-    m = d * d - 1
-    eye = np.eye(d, dtype=complex)
-    out = np.empty((m,) * len(parts), dtype=complex)
-    for idx in itertools.product(range(m), repeat=len(parts)):
-        ops = []
-        slot = 0
-        for p in range(1, n + 1):
-            if slot < len(parts) and parts[slot] == p:
-                ops.append(stack[idx[slot]])
-                slot += 1
-            else:
-                ops.append(eye)
-        op = reduce(np.kron, ops)
-        out[idx] = np.einsum("ij,ji->", rho.matrix, op)
-    return out
-
-
-def full_decomposition(rho: DensityMatrix, method: str = "contract") -> BlochDecomposition:
-    """Tensors for all 2^n - 1 non-empty party subsets of ``rho``."""
-    tensors = {
-        s: bloch_tensor(rho, s, method=method) for s in all_subsets(rho.num_parties)
-    }
-    return BlochDecomposition(rho.local_dim, rho.num_parties, tensors)
+    coeffs = _coefficients(rho)
+    tensors = {s: BlochTensor(s, d, coeffs[_subset_slice(s, n)]) for s in all_subsets(n)}
+    return BlochDecomposition(d, n, tensors)
 
 
 def tensor_norm_sq(tensor: BlochTensor) -> float:
@@ -215,46 +188,29 @@ def tensor_norm_sq(tensor: BlochTensor) -> float:
     return float(np.dot(c, c))
 
 
-def embed_operator(op, subset, local_dim, num_parties) -> np.ndarray:
-    """Place an operator on the subset parties into the full space, identity elsewhere."""
-    d, n = int(local_dim), int(num_parties)
-    parts = _validated_subset(subset, n)
-    k = len(parts)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d**k, d**k):
-        raise ValueError(f"operator shape {op.shape} does not match subset {parts}")
-    if k == n:
-        return op.copy()
-    rest = [p for p in range(1, n + 1) if p not in parts]
-    full = np.kron(op, np.eye(d ** (n - k), dtype=complex))
-    order = np.argsort(list(parts) + rest)
-    axes = list(order) + [int(a) + n for a in order]
-    return full.reshape((d,) * (2 * n)).transpose(axes).reshape(d**n, d**n)
-
-
-def _subset_operator(tensor: BlochTensor) -> np.ndarray:
-    d = tensor.local_dim
-    k = len(tensor.subset)
-    stack = _generator_stack(d)
-    out = np.einsum(_EXPANSIONS[k], tensor.as_array(), *([stack] * k), optimize=True)
-    return out.reshape(d**k, d**k)
-
-
 def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
     """Rebuild the density matrix encoded by a complete decomposition.
 
-    Inverts ``full_decomposition`` exactly up to rounding. Coefficient maps
-    that do not come from a valid state fail the density-matrix validation.
+    Runs the extraction pass in reverse: each party's basis is weighted 1/d
+    on the identity and 1/2 on the generators, which yields the
+    ``1/(2^|S| d^(n-|S|))`` weights. Inverts ``full_decomposition`` exactly
+    up to rounding. Coefficient maps that do not come from a valid state
+    fail the density-matrix validation.
     """
     d, n = decomp.local_dim, decomp.num_parties
-    dim = d**n
-    mat = np.eye(dim, dtype=complex) / dim
-    for subset in decomp.subsets():
-        tensor = decomp.tensors[subset]
-        k = len(subset)
-        weight = 1.0 / (2**k * d ** (n - k))
-        mat += weight * embed_operator(_subset_operator(tensor), subset, d, n)
-    return DensityMatrix(mat, d, n)
+    coeffs = np.zeros((d * d,) * n)
+    coeffs[(0,) * n] = 1.0
+    for subset, tensor in decomp.tensors.items():
+        coeffs[_subset_slice(subset, n)] = tensor.as_array()
+    weights = np.full(d * d, 0.5)
+    weights[0] = 1.0 / d
+    basis = _extended_stack(d) * weights[:, None, None]
+    mat = coeffs
+    for _ in range(n):
+        # consume the leading party index, append that party's (row, col) digits
+        mat = np.tensordot(mat, basis, axes=([0], [0]))
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return DensityMatrix(mat.transpose(order).reshape(d**n, d**n), d, n)
 
 
 def purity_from_decomposition(decomp: BlochDecomposition) -> float:

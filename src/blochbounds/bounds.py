@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import index as _as_index
 from typing import NamedTuple
 
-from .bloch import bloch_tensor, tensor_norm_sq
-from .states import DensityMatrix, PureState, from_pure
+from .bloch import bloch_tensor, full_decomposition, tensor_norm_sq
+from .states import DensityMatrix, PureState, _check_local_dim, from_pure
 
 __all__ = [
     "COMPARISON_TOL",
@@ -53,11 +52,10 @@ NECESSARY_ONLY_NOTE = (
 )
 
 
-def _check_dim(d):
-    d = _as_index(d)
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
-    return d
+def _check_tol(tol):
+    if not math.isfinite(tol):
+        raise ValueError(f"comparison tolerance must be finite, got {tol}")
+    return tol
 
 
 def ball_radii(d):
@@ -66,25 +64,25 @@ def ball_radii(d):
     Every valid Bloch vector has norm at most R = sqrt(2(1 - 1/d)), and
     every vector of norm at most r = sqrt(2/(d(d-1))) yields a valid state.
     """
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     return math.sqrt(2.0 / (d * (d - 1))), math.sqrt(2.0 * (1.0 - 1.0 / d))
 
 
 def bipartite_norm_bound(d) -> float:
     """Largest possible squared norm of a two-party tensor: 4(d^2 - 1)/d^2."""
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     return 4.0 * (d * d - 1) / (d * d)
 
 
 def tripartite_norm_bound(d) -> float:
     """Largest possible squared norm of a three-party tensor: (8d^3 - 24d + 16)/d^3."""
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     return (8.0 * d**3 - 24.0 * d + 16.0) / d**3
 
 
 def fourpartite_norm_bound(d) -> float:
     """Largest possible squared norm of a four-party tensor: 16(d^2 - 1)^2/d^4."""
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     return 16.0 * (d * d - 1) ** 2 / d**4
 
 
@@ -95,7 +93,7 @@ def triple_sum_bound(d) -> float:
     is strictly tighter than four times the single-triple bound; at d = 2 it
     forbids all four triple norms from peaking simultaneously.
     """
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     return 8.0 * (d * d - 1) ** 3 / (d**3 * (d * d - 2))
 
 
@@ -112,7 +110,7 @@ class BoundTable:
 
 
 def bound_table(d) -> BoundTable:
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     return BoundTable(
         local_dim=d,
         bipartite_bound=bipartite_norm_bound(d),
@@ -153,7 +151,7 @@ class SeparabilityThresholds:
 
 
 def separability_thresholds(d) -> SeparabilityThresholds:
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     scale = 16.0 / d**4
     return SeparabilityThresholds(
         local_dim=d,
@@ -186,13 +184,14 @@ class ClassificationReport:
 def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationReport:
     """Rule out every separability class whose threshold the norm exceeds.
 
-    Raises ValueError unless ``rho`` has exactly four parties. Nothing is
-    ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
+    Raises ValueError unless ``rho`` has exactly four parties and ``tol`` is
+    finite. Nothing is ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
     """
     if rho.num_parties != 4:
         raise ValueError(
             f"classification needs a four-party state, got n={rho.num_parties}"
         )
+    tol = _check_tol(tol)
     norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
     thresholds = separability_thresholds(rho.local_dim)
     table = thresholds.as_dict()
@@ -215,13 +214,16 @@ def et_measure(psi: PureState) -> float:
         raise TypeError("mixed states are not supported; pass a PureState")
     if not isinstance(psi, PureState):
         raise TypeError(f"expected a PureState, got {type(psi).__name__}")
-    n = psi.num_parties
+    d, n = psi.local_dim, psi.num_parties
+    full = tuple(range(1, n + 1))
+    return _measure_from_norm_sq(d, n, tensor_norm_sq(bloch_tensor(from_pure(psi), full)))
+
+
+def _measure_from_norm_sq(d, n, norm_sq):
+    """``(d^n / 2^n) sqrt(norm_sq) - (d(d-1)/2)^(n/2)``, shared by every measure route."""
     if n < 2:
         raise ValueError("the measure needs at least two parties")
-    d = psi.local_dim
-    full = tuple(range(1, n + 1))
-    norm = math.sqrt(tensor_norm_sq(bloch_tensor(from_pure(psi), full)))
-    return (d**n / 2**n) * norm - (d * (d - 1) / 2.0) ** (n / 2.0)
+    return (d**n / 2**n) * math.sqrt(norm_sq) - (d * (d - 1) / 2.0) ** (n / 2.0)
 
 
 def et_upper_bound(d, n) -> float:
@@ -230,7 +232,7 @@ def et_upper_bound(d, n) -> float:
     Defined for n = 3 and n = 4:
     ``sqrt(d^3 (d-1)^2 / 8) (sqrt(d+2) - sqrt(d-1))`` and ``d^2 (d-1)/2``.
     """
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     if n == 3:
         return math.sqrt(d**3 * (d - 1) ** 2 / 8.0) * (
             math.sqrt(d + 2) - math.sqrt(d - 1)
@@ -248,14 +250,14 @@ def et_upper_bound_via_norm_bound(d, n) -> float:
     for every d; both routes are kept so reports can show the agreement
     instead of asserting it silently.
     """
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     if n == 3:
         cap = tripartite_norm_bound(d)
     elif n == 4:
         cap = fourpartite_norm_bound(d)
     else:
         raise ValueError(f"the measure bound is defined for n in (3, 4), got {n}")
-    return (d**n / 2**n) * math.sqrt(cap) - (d * (d - 1) / 2.0) ** (n / 2.0)
+    return _measure_from_norm_sq(d, n, cap)
 
 
 def et_bound_audit(d) -> dict:
@@ -264,7 +266,7 @@ def et_bound_audit(d) -> dict:
     Keys are the party counts 3 and 4; each value reports the closed form,
     the norm-cap route and their (tiny) difference.
     """
-    d = _check_dim(d)
+    d = _check_local_dim(d)
     audit = {}
     for n in (3, 4):
         closed = et_upper_bound(d, n)
@@ -281,16 +283,28 @@ class TradeoffResult(NamedTuple):
     sum_sq: float
     bound: float
     satisfied: bool
+    per_triple: dict  # party triple -> its squared norm, in ascending triple order
 
 
 def tradeoff_check(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> TradeoffResult:
-    """Sum of the four three-party squared norms against their joint cap."""
+    """Sum of the four three-party squared norms against their joint cap.
+
+    All four norms come from one decomposition of ``rho`` and are returned
+    in ``per_triple``. Raises ValueError unless ``rho`` has four parties and
+    ``tol`` is finite.
+    """
     if rho.num_parties != 4:
         raise ValueError(
             f"the trade-off applies to four-party states, got n={rho.num_parties}"
         )
+    tol = _check_tol(tol)
+    decomp = full_decomposition(rho)
+    per_triple = {
+        triple: tensor_norm_sq(decomp.tensors[triple])
+        for triple in itertools.combinations((1, 2, 3, 4), 3)
+    }
     total = 0.0
-    for triple in itertools.combinations((1, 2, 3, 4), 3):
-        total += tensor_norm_sq(bloch_tensor(rho, triple))
+    for norm_sq in per_triple.values():
+        total += norm_sq
     bound = triple_sum_bound(rho.local_dim)
-    return TradeoffResult(total, bound, total <= bound + tol)
+    return TradeoffResult(total, bound, total <= bound + tol, per_triple)

@@ -22,10 +22,10 @@ from .bloch import bloch_tensor, full_decomposition, tensor_norm_sq
 from .bounds import (
     CLASS_LABELS,
     COMPARISON_TOL,
+    _measure_from_norm_sq,
     bound_table,
     classify,
     et_bound_audit,
-    et_measure,
     et_upper_bound,
     separability_thresholds,
     tradeoff_check,
@@ -145,8 +145,8 @@ def _resolve_tol(args):
                 raise _CliError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
     if tol is None:
         return None
-    if not tol > 0:
-        raise _CliError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise _CliError(f"tolerance must be positive and finite, got {tol}")
     return tol
 
 
@@ -251,9 +251,9 @@ def _cmd_measure(args):
     state = _load_state(args)
     if isinstance(state, DensityMatrix):
         state = as_pure(state)
-    value = et_measure(state)
     d, n = state.local_dim, state.num_parties
     norm_sq = tensor_norm_sq(bloch_tensor(state.density(), tuple(range(1, n + 1))))
+    value = _measure_from_norm_sq(d, n, norm_sq)
     report = {
         "d": d,
         "parties": n,
@@ -272,20 +272,15 @@ def _cmd_tradeoff(args):
     rho = as_density(_load_state(args))
     tol = _resolve_tol(args)
     result = tradeoff_check(rho, tol) if tol is not None else tradeoff_check(rho)
-    per_triple = []
-    for triple in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-        per_triple.append(
-            {
-                "subset": list(triple),
-                "norm_sq": tensor_norm_sq(bloch_tensor(rho, triple)),
-            }
-        )
     return {
         "d": rho.local_dim,
         "sum_sq": result.sum_sq,
         "bound": result.bound,
         "satisfied": result.satisfied,
-        "per_triple": per_triple,
+        "per_triple": [
+            {"subset": list(triple), "norm_sq": norm_sq}
+            for triple, norm_sq in result.per_triple.items()
+        ],
     }, 0
 
 

@@ -52,8 +52,8 @@ def state_from_json(obj):
     kind = _require(obj, "kind")
     if kind == "builtin":
         return _builtin_state(obj)
-    d = int(_require(obj, "d"))
-    n = int(_require(obj, "parties"))
+    d = _require(obj, "d")
+    n = _require(obj, "parties")
     if kind == "pure":
         return states.PureState(_vector_from_pairs(_require(obj, "amplitudes")), d, n)
     if kind == "ensemble":
@@ -73,7 +73,8 @@ def state_from_json(obj):
 
 
 def _check_parties(obj, expected):
-    if obj.get("parties") is not None and int(obj["parties"]) != expected:
+    n = obj.get("parties")
+    if n is not None and states._check_int(n, "party count") != expected:
         raise ValueError(f"builtin {obj.get('name')!r} is always {expected}-party")
 
 
@@ -82,12 +83,12 @@ def _builtin_state(obj):
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
     params = obj.get("params") or {}
-    d = int(_require(obj, "d"))
+    d = _require(obj, "d")
     if name == "ghz":
         n = obj.get("parties", params.get("parties"))
         if n is None:
             raise ValueError("builtin 'ghz' needs a party count")
-        return states.ghz(d, int(n))
+        return states.ghz(d, n)
     if name == "isotropic_ghz4":
         if "x" not in params:
             raise ValueError("builtin 'isotropic_ghz4' needs params.x")

@@ -34,11 +34,27 @@ DEFAULT_ATOL = 1e-9
 MAX_PARTIES = 4
 
 
-def _check_dims(local_dim, num_parties):
-    d = _as_index(local_dim)
-    n = _as_index(num_parties)
+def _check_int(value, what):
+    """``value`` as an int; bools and non-integral numbers are refused."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return _as_index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_local_dim(local_dim):
+    d = _check_int(local_dim, "local dimension")
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
+    return d
+
+
+def _check_dims(local_dim, num_parties):
+    """The one validator for (d, n): integers with d >= 2 and 1 <= n <= MAX_PARTIES."""
+    d = _check_local_dim(local_dim)
+    n = _check_int(num_parties, "party count")
     if not 1 <= n <= MAX_PARTIES:
         raise ValueError(f"party count must lie in 1..{MAX_PARTIES}, got {n}")
     return d, n
@@ -54,6 +70,8 @@ class PureState:
             raise ValueError(
                 f"expected {d**n} amplitudes for d={d}, n={n}, got {amp.size}"
             )
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes contain non-finite values (NaN or infinity)")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > atol:
             raise ValueError(f"state vector norm {norm!r} is not 1 within {atol}")
@@ -92,6 +110,8 @@ class DensityMatrix:
             raise ValueError(
                 f"expected a {dim} x {dim} matrix for d={d}, n={n}, got shape {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix contains non-finite entries (NaN or infinity)")
         herm_dev = np.abs(mat - mat.conj().T).max()
         if herm_dev > atol:
             raise ValueError(f"matrix deviates from Hermitian by {herm_dev:.3e}")
@@ -126,10 +146,10 @@ class Ensemble:
         for weight, psi in members:
             if not isinstance(psi, PureState):
                 raise ValueError("ensemble members must be PureState instances")
-            if weight < -atol or weight > 1.0 + atol:
+            if not -atol <= weight <= 1.0 + atol:
                 raise ValueError(f"weight {weight} lies outside [0, 1]")
         total = sum(w for w, _ in members)
-        if abs(total - 1.0) > atol:
+        if not abs(total - 1.0) <= atol:
             raise ValueError(f"weights sum to {total!r}, not 1 within {atol}")
         d = members[0][1].local_dim
         n = members[0][1].num_parties
@@ -160,11 +180,8 @@ def from_ensemble(ensemble: Ensemble) -> DensityMatrix:
 
 def ghz(d, n) -> PureState:
     """The n-party qudit state with equal amplitude on every ``|i i ... i>``."""
-    d = _as_index(d)
-    n = _as_index(n)
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
-    if not 2 <= n <= MAX_PARTIES:
+    d, n = _check_dims(d, n)
+    if n < 2:
         raise ValueError(f"party count must lie in 2..{MAX_PARTIES}, got {n}")
     amp = np.zeros(d**n, dtype=complex)
     stride = (d**n - 1) // (d - 1)
@@ -185,9 +202,7 @@ def isotropic_ghz4(x, d) -> DensityMatrix:
 
 def product_max_entangled(d) -> PureState:
     """Two maximally entangled pairs side by side, on parties (1,2) and (3,4)."""
-    d = _as_index(d)
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
+    d = _check_local_dim(d)
     pair = np.zeros(d * d, dtype=complex)
     pair[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
     return PureState(np.kron(pair, pair), d, 4)
@@ -204,7 +219,7 @@ def product_state(factors, local_dim) -> PureState:
     local_dim : int
         Common local dimension of every party.
     """
-    d = _as_index(local_dim)
+    d = _check_local_dim(local_dim)
     party_order = []
     tensors = []
     for parties, amp in factors:

@@ -3,12 +3,14 @@
 A sweep draws ``count`` states from one sample specification and evaluates a
 set of named checks on every state, recording the worst case per check. All
 reductions are max/all-of, so reports are deterministic for a fixed spec
-regardless of evaluation order.
+regardless of evaluation order. A NaN observation makes its check's maximum
+NaN, and a NaN maximum fails the check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ from .bounds import (
     tripartite_norm_bound,
 )
 from .sampling import haar_random_pure, random_mixed, random_separable, sample_seed
-from .states import from_pure, partial_trace, purity
+from .states import _check_dims, from_pure, partial_trace, purity
 
 __all__ = [
     "PURE_HAAR",
@@ -68,10 +70,7 @@ class SampleSpec:
             raise ValueError(f"unknown sample kind {self.kind!r}")
         if self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
-        if self.local_dim < 2:
-            raise ValueError(f"local dimension must be at least 2, got {self.local_dim}")
-        if not 1 <= self.num_parties <= 4:
-            raise ValueError(f"party count must lie in 1..4, got {self.num_parties}")
+        _check_dims(self.local_dim, self.num_parties)
         if self.rank is not None:
             if self.kind == PURE_HAAR:
                 raise ValueError("rank applies to mixed-ginibre sampling only")
@@ -124,6 +123,11 @@ class _SampleContext:
         if self._decomp is None:
             self._decomp = full_decomposition(self.rho)
         return self._decomp
+
+
+def _nan_max(a, b):
+    """``max`` that keeps NaN (built-in ``max`` may drop it), so NaN fails its check."""
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
 
 
 def _max_order_norm(ctx, size):
@@ -316,7 +320,7 @@ def _run_separable(check, spec, tol):
         rho = random_separable(
             spec.local_dim, check.separable_class, sample_seed(spec.base_seed, i)
         )
-        worst = max(worst, tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4))))
+        worst = _nan_max(worst, tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4))))
     margin = worst - threshold
     return CheckOutcome(
         check.name, spec.count, worst, threshold, margin, tol, margin <= tol
@@ -357,7 +361,7 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
         for i in range(spec.count):
             ctx = _SampleContext(spec.draw(i), spec)
             for check in per_sample:
-                worst[check.name] = max(worst[check.name], check.evaluate(ctx))
+                worst[check.name] = _nan_max(worst[check.name], check.evaluate(ctx))
 
     outcomes = []
     for check in selected:

@@ -1,11 +1,13 @@
 """Shared brute-force references for the test suite.
 
-These helpers deliberately avoid the library's vectorized code paths (plain
-Python loops, no einsum, no np.kron) so they can serve as independent
-oracles for the same quantities.
+These helpers deliberately avoid the library's vectorized code paths so they
+can serve as independent oracles for the same quantities: the loop helpers
+use plain Python loops, and ``kron_bloch_tensor`` builds every full-space
+operator with np.kron and takes plain traces.
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 
@@ -63,6 +65,22 @@ def loop_bloch_coefficient(mat, subset, gen_indices, generators, d, n):
             if op_entry != 0.0:
                 total += mat[flat_index(rdig, d), flat_index(cdig, d)] * op_entry
     return total
+
+
+def kron_bloch_tensor(mat, subset, generators, d, n):
+    """Correlation tensor on ``subset`` (1-based, sorted) from full-space operators.
+
+    Each coefficient is ``Tr(rho Op)`` with ``Op`` the Kronecker product of
+    the chosen generators on the subset parties and the identity elsewhere.
+    """
+    m = d * d - 1
+    eye = np.eye(d, dtype=complex)
+    out = np.empty((m,) * len(subset), dtype=complex)
+    for idx in itertools.product(range(m), repeat=len(subset)):
+        picks = dict(zip(subset, idx))
+        ops = [generators[picks[p]] if p in picks else eye for p in range(1, n + 1)]
+        out[idx] = np.trace(mat @ reduce(np.kron, ops))
+    return out
 
 
 def ghz_norm_sq(d, n):

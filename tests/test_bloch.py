@@ -11,7 +11,6 @@ from blochbounds import (
     DensityMatrix,
     all_subsets,
     bloch_tensor,
-    embed_operator,
     from_ensemble,
     from_pure,
     full_decomposition,
@@ -32,7 +31,7 @@ from blochbounds import (
     tensor_norm_sq,
     Ensemble,
 )
-from conftest import ghz_norm_sq, loop_bloch_coefficient
+from conftest import ghz_norm_sq, kron_bloch_tensor, loop_bloch_coefficient
 
 
 def maximally_mixed(d, n):
@@ -108,7 +107,7 @@ def test_paired_entanglement_saturates_fourparty_norm(d):
 
 @pytest.mark.parametrize(
     "d,n,seed",
-    [(2, 2, 1), (2, 3, 2), (3, 2, 3)],
+    [(2, 2, 1), (2, 3, 2), (3, 2, 3), (2, 1, 4), (2, 4, 5), (4, 2, 6)],
 )
 def test_coefficients_match_loop_oracle(d, n, seed):
     rho = random_mixed(d, n, d**n, seed=seed)
@@ -130,15 +129,17 @@ def test_coefficients_match_loop_oracle(d, n, seed):
 )
 def test_contract_and_kron_paths_agree(d, n, seed):
     rho = random_mixed(d, n, d**n, seed=seed)
+    generators = list(generate_basis(d))
+    decomp = full_decomposition(rho)
     for subset in all_subsets(n):
-        fast = bloch_tensor(rho, subset, method="contract").coefficients
-        slow = bloch_tensor(rho, subset, method="kron").coefficients
-        np.testing.assert_allclose(fast, slow, atol=1e-12)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        bloch_tensor(maximally_mixed(2, 2), (1,), method="magic")
+        slow = kron_bloch_tensor(rho.matrix, subset, generators, d, n)
+        assert np.abs(slow.imag).max() < 1e-10
+        np.testing.assert_allclose(
+            decomp.tensors[subset].as_array(), slow.real, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            bloch_tensor(rho, subset).as_array(), slow.real, rtol=0, atol=1e-12
+        )
 
 
 def test_invalid_subsets_rejected():
@@ -182,9 +183,10 @@ def test_reconstruct_zero_decomposition():
 
 
 def test_round_trip_ghz():
-    rho = from_pure(ghz(3, 3))
-    rebuilt = reconstruct(full_decomposition(rho))
-    assert np.linalg.norm(rebuilt.matrix - rho.matrix) < 1e-10
+    for d, n in [(3, 3), (4, 4)]:
+        rho = from_pure(ghz(d, n))
+        rebuilt = reconstruct(full_decomposition(rho))
+        assert np.linalg.norm(rebuilt.matrix - rho.matrix) < 1e-10, (d, n)
 
 
 def test_round_trip_random_mixed_states():
@@ -213,26 +215,6 @@ def test_tensor_subset_validation():
         BlochTensor((2, 1), 2, np.zeros(9))
     with pytest.raises(ValueError):
         BlochTensor((), 2, np.zeros(1))
-
-
-def test_embed_operator_matches_kron_layouts():
-    rng = np.random.default_rng(17)
-    p = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    eye = np.eye(2)
-    np.testing.assert_allclose(
-        embed_operator(p, (2,), 2, 3), np.kron(np.kron(eye, p), eye), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        embed_operator(np.kron(p, q), (1, 3), 2, 3),
-        np.kron(np.kron(p, eye), q),
-        atol=1e-14,
-    )
-    np.testing.assert_allclose(
-        embed_operator(np.kron(p, q), (2, 4), 2, 4),
-        np.kron(np.kron(np.kron(eye, p), eye), q),
-        atol=1e-14,
-    )
 
 
 @pytest.mark.parametrize("d,n,kind", [(2, 3, "mixed"), (3, 3, "pure"), (2, 4, "mixed"), (3, 4, "pure")])

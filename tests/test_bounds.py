@@ -22,6 +22,7 @@ from blochbounds import (
     isotropic_ghz4,
     product_max_entangled,
     product_state,
+    random_mixed,
     random_separable,
     separability_thresholds,
     tensor_norm_sq,
@@ -259,8 +260,30 @@ def test_tradeoff_ghz4():
     result = tradeoff_check(rho)
     assert abs(result.sum_sq) < 1e-12
     assert result.satisfied
-    for triple in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
+    triples = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert list(result.per_triple) == triples
+    for triple in triples:
         assert tensor_norm_sq(bloch_tensor(rho, triple)) < 1e-12
+        assert result.per_triple[triple] < 1e-12
+
+
+def test_tradeoff_per_triple_sums_to_total():
+    rho = random_mixed(3, 4, 81, seed=17)
+    result = tradeoff_check(rho)
+    total = 0.0
+    for triple, norm_sq in result.per_triple.items():
+        assert norm_sq == tensor_norm_sq(bloch_tensor(rho, triple))
+        total += norm_sq
+    assert result.sum_sq == total
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tolerance_rejected(tol):
+    rho = isotropic_ghz4(0.7, 2)
+    with pytest.raises(ValueError, match="finite"):
+        classify(rho, tol)
+    with pytest.raises(ValueError, match="finite"):
+        tradeoff_check(rho, tol)
 
 
 def test_tradeoff_bound_value_d3():

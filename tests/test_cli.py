@@ -270,6 +270,42 @@ def test_error_paths_exit_two(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def _state_file(tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_fractional_dimension_in_state_file_exits_two(capsys, tmp_path):
+    doc = {"d": 2.7, "parties": 1, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]}
+    path = _state_file(tmp_path, json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", "--state", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "must be an integer" in err
+
+
+def test_boolean_party_count_in_state_file_exits_two(capsys, tmp_path):
+    doc = {"d": 2, "parties": True, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]}
+    path = _state_file(tmp_path, json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", "--state", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "must be an integer" in err
+
+
+def test_nan_amplitude_state_file_exits_two(capsys, tmp_path):
+    path = _state_file(
+        tmp_path,
+        '{"d": 2, "parties": 2, "kind": "pure", '
+        '"amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}',
+    )
+    code, out, err = run_cli(capsys, "measure", "--state", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "non-finite" in err and "Eigenvalues" not in err
+
+
 def test_state_and_builtin_are_mutually_exclusive(capsys, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(state_to_json(isotropic_ghz4(0.5, 2))))

@@ -88,6 +88,30 @@ def test_ensemble_rejects_bad_weights():
         Ensemble([(0.9, ghz(2, 2))])
     with pytest.raises(ValueError):
         Ensemble([(1.4, ghz(2, 2)), (-0.4, ghz(2, 2))])
+    with pytest.raises(ValueError):
+        Ensemble([(float("nan"), ghz(2, 2))])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState([bad, 0], 2, 1)
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(mat, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "d,n",
+    [(2.5, 2), (2.0, 2), (True, 2), (2, True), (2, 2.0), ("2", 2)],
+    ids=["float-d", "integral-float-d", "bool-d", "bool-n", "float-n", "str-d"],
+)
+def test_dimensions_must_be_integers(d, n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        PureState(ghz(2, 2).amplitudes, d, n)
+    with pytest.raises(ValueError, match="must be an integer"):
+        ghz(d, n)
 
 
 def test_ghz_amplitudes():

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from blochbounds import sweeps
 from blochbounds import (
     MIXED_GINIBRE,
     PURE_HAAR,
@@ -22,6 +25,30 @@ def test_sample_spec_validation():
         SampleSpec(2, 3, PURE_HAAR, 10, 0, rank=4)  # rank is mixed-only
     with pytest.raises(ValueError):
         SampleSpec(2, 3, MIXED_GINIBRE, 10, 0, rank=9)  # above d^n
+
+
+@pytest.mark.parametrize("d,n", [(2.5, 2), (True, 2), (2, 2.0)])
+def test_sample_spec_rejects_non_integer_dimensions(d, n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SampleSpec(d, n, PURE_HAAR, 10, 0)
+
+
+def test_nan_observation_fails_its_check(monkeypatch):
+    # a NaN on a middle sample must survive the max reduction over samples
+    original = sweeps._max_order_norm
+    calls = []
+
+    def flaky(ctx, size):
+        calls.append(size)
+        return math.nan if len(calls) == 2 else original(ctx, size)
+
+    monkeypatch.setattr(sweeps, "_max_order_norm", flaky)
+    report = run_sweep(SampleSpec(2, 3, PURE_HAAR, 5, 0), checks=["ball-radius"])
+    outcome = report.outcome("ball-radius")
+    assert len(calls) == 5
+    assert math.isnan(outcome.max_observed)
+    assert not outcome.passed
+    assert not report.passed
 
 
 def test_available_checks_filtering():
