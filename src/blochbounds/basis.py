@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import _check_local_dim
+from .states import _check_dims
 
 __all__ = ["GeneratorBasis", "generate_basis"]
 
@@ -89,9 +89,10 @@ def generate_basis(d) -> GeneratorBasis:
     Raises
     ------
     ValueError
-        If ``d`` is not an integer of at least 2.
+        If ``d`` is not an integer of at least 2, or if the basis (the local
+        operators of a one-party state) exceeds ``states.MAX_DENSE_BYTES``.
     """
-    d = _check_local_dim(d)
+    d, _ = _check_dims(d, 1)
     mats = []
     labels = []
     for j in range(d):

@@ -133,21 +133,21 @@ def _validated_subset(subset, num_parties):
     return parts
 
 
-def _coefficients(rho: DensityMatrix) -> np.ndarray:
-    """All ``Tr(rho B_i1 x ... x B_in)`` over the extended basis, shape ``(d**2,) * n``.
+def _coefficients(mats, d, n) -> np.ndarray:
+    """All ``Tr(rho B_i1 x ... x B_in)`` over the extended basis for a (B, d^n, d^n) stack.
 
-    One tensordot per party contracts its row and column index of ``rho``
-    with the local basis. Index 0 on a party stands for the identity there,
-    so ``C[0, ..., 0]`` is the trace and every ``T^(S)`` is a slice.
+    Returns shape ``(B,) + (d**2,) * n``. One tensordot per party contracts
+    its row and column index of every ``rho`` with the local basis. Index 0
+    on a party stands for the identity there, so ``C[b, 0, ..., 0]`` is the
+    trace of matrix b and every ``T^(S)`` is a slice.
     """
-    d, n = rho.local_dim, rho.num_parties
     basis = _extended_stack(d)
-    coeffs = rho.matrix.reshape((d,) * (2 * n))
+    coeffs = mats.reshape((-1,) + (d,) * (2 * n))
     for rows in range(n, 0, -1):
-        # the next party's row digit is axis 0, its column digit axis ``rows``
-        coeffs = np.tensordot(coeffs, basis, axes=([0, rows], [2, 1]))
-    # the trace entry is validated by the state itself; skip it here
-    residue = float(np.abs(coeffs.imag).reshape(-1)[1:].max())
+        # axis 0 is the stack; the next party's row digit is axis 1, its column digit axis 1 + rows
+        coeffs = np.tensordot(coeffs, basis, axes=([1, 1 + rows], [2, 1]))
+    # the trace entries are validated by the states themselves; skip them here
+    residue = float(np.abs(coeffs.imag).reshape(len(coeffs), -1)[:, 1:].max())
     if residue > IMAG_RESIDUE_TOL:
         raise ValueError(
             f"coefficients carry imaginary residue {residue:.3e}; input is not Hermitian enough"
@@ -162,6 +162,17 @@ def _subset_slice(parts, num_parties):
     )
 
 
+def _subset_norm(coeffs, subset, n) -> np.ndarray:
+    """Squared norm of ``T^(subset)`` for every state of a coefficient stack: shape (B,)."""
+    tensors = coeffs[(slice(None),) + _subset_slice(subset, n)]
+    return np.square(tensors).reshape(len(coeffs), -1).sum(axis=1)
+
+
+def _subset_norms(coeffs, n) -> dict:
+    """``_subset_norm`` of every subset, in ``all_subsets`` order."""
+    return {s: _subset_norm(coeffs, s, n) for s in all_subsets(n)}
+
+
 def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
     """Correlation tensor of ``rho`` on the given parties.
 
@@ -170,14 +181,14 @@ def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
     ``IMAG_RESIDUE_TOL`` (a non-Hermitian input).
     """
     parts = _validated_subset(subset, rho.num_parties)
-    coeffs = _coefficients(rho)
+    coeffs = _coefficients(rho.matrix[None], rho.local_dim, rho.num_parties)[0]
     return BlochTensor(parts, rho.local_dim, coeffs[_subset_slice(parts, rho.num_parties)])
 
 
 def full_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     """Tensors for all 2^n - 1 non-empty party subsets of ``rho``, from one pass."""
     d, n = rho.local_dim, rho.num_parties
-    coeffs = _coefficients(rho)
+    coeffs = _coefficients(rho.matrix[None], d, n)[0]
     tensors = {s: BlochTensor(s, d, coeffs[_subset_slice(s, n)]) for s in all_subsets(n)}
     return BlochDecomposition(d, n, tensors)
 
@@ -198,19 +209,31 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
     fail the density-matrix validation.
     """
     d, n = decomp.local_dim, decomp.num_parties
-    coeffs = np.zeros((d * d,) * n)
-    coeffs[(0,) * n] = 1.0
+    coeffs = np.zeros((1,) + (d * d,) * n)
+    coeffs[(0,) * (n + 1)] = 1.0
     for subset, tensor in decomp.tensors.items():
-        coeffs[_subset_slice(subset, n)] = tensor.as_array()
+        coeffs[(0,) + _subset_slice(subset, n)] = tensor.as_array()
+    return DensityMatrix(_rebuild(coeffs, d, n)[0], d, n)
+
+
+def _rebuild(coeffs, d, n) -> np.ndarray:
+    """The (B, d^n, d^n) matrices of a coefficient stack: ``_coefficients`` run in reverse.
+
+    The trace entries ``coeffs[b, 0, ..., 0]`` must already be 1.
+    """
     weights = np.full(d * d, 0.5)
     weights[0] = 1.0 / d
     basis = _extended_stack(d) * weights[:, None, None]
     mat = coeffs
     for _ in range(n):
-        # consume the leading party index, append that party's (row, col) digits
-        mat = np.tensordot(mat, basis, axes=([0], [0]))
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return DensityMatrix(mat.transpose(order).reshape(d**n, d**n), d, n)
+        # consume the first party index after the stack axis, append its (row, col) digits
+        mat = np.tensordot(mat, basis, axes=([1], [0]))
+    order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    return mat.transpose(order).reshape(-1, d**n, d**n)
+
+
+def _tensor_norms(decomp):
+    return {subset: tensor_norm_sq(t) for subset, t in decomp.tensors.items()}
 
 
 def purity_from_decomposition(decomp: BlochDecomposition) -> float:
@@ -219,19 +242,28 @@ def purity_from_decomposition(decomp: BlochDecomposition) -> float:
     Orthogonality of the expansion basis gives
     ``Tr(rho^2) = 1/d^n + sum_S ||T_S||^2 / (2^|S| d^(n-|S|))``.
     """
-    d, n = decomp.local_dim, decomp.num_parties
+    return _purity_from_norms(decomp.local_dim, decomp.num_parties, _tensor_norms(decomp))
+
+
+def _purity_from_norms(d, n, norms):
+    """``purity_from_decomposition`` from subset -> squared norm (floats or arrays)."""
     total = 1.0 / d**n
-    for subset, tensor in decomp.tensors.items():
+    for subset, norm_sq in norms.items():
         k = len(subset)
-        total += tensor_norm_sq(tensor) / (2**k * d ** (n - k))
+        total += norm_sq / (2**k * d ** (n - k))
     return total
 
 
 def norms_by_order(decomp: BlochDecomposition) -> dict:
     """Sum of squared tensor norms grouped by subset size."""
-    out = {k: 0.0 for k in range(1, decomp.num_parties + 1)}
-    for subset, tensor in decomp.tensors.items():
-        out[len(subset)] += tensor_norm_sq(tensor)
+    return _sums_by_order(_tensor_norms(decomp), decomp.num_parties)
+
+
+def _sums_by_order(norms, n) -> dict:
+    """``norms_by_order`` from subset -> squared norm (floats or arrays)."""
+    out = {k: 0.0 for k in range(1, n + 1)}
+    for subset, norm_sq in norms.items():
+        out[len(subset)] += norm_sq
     return out
 
 
@@ -244,8 +276,11 @@ def pure_pair_sum_residual(decomp: BlochDecomposition) -> float:
     """
     if decomp.num_parties != 3:
         raise ValueError("the pair sum rule applies to three-party states")
-    d = decomp.local_dim
-    sums = norms_by_order(decomp)
+    return _pair_rule_residual(decomp.local_dim, norms_by_order(decomp))
+
+
+def _pair_rule_residual(d, sums):
+    """``pure_pair_sum_residual`` from the sums of ``norms_by_order`` (floats or arrays)."""
     return sums[2] / 4.0 - ((0.5 - 1.0 / d) * sums[1] + 3.0 / d - 3.0 / d**2)
 
 
@@ -259,8 +294,11 @@ def pure_triple_sum_residual(decomp: BlochDecomposition) -> float:
     """
     if decomp.num_parties != 4:
         raise ValueError("the triple sum rule applies to four-party states")
-    d = decomp.local_dim
-    sums = norms_by_order(decomp)
+    return _triple_rule_residual(decomp.local_dim, norms_by_order(decomp))
+
+
+def _triple_rule_residual(d, sums):
+    """``pure_triple_sum_residual`` from the sums of ``norms_by_order`` (floats or arrays)."""
     rhs = (
         (2.0 * d * d - 2.0) / d**4
         + (d * d - 3.0) / (4.0 * d**3) * sums[1]

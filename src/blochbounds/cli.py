@@ -311,6 +311,8 @@ def _cmd_verify(args):
                 "worst_margin": c.worst_margin,
                 "tolerance": c.tolerance,
                 "passed": c.passed,
+                "worst_index": c.worst_index,
+                "worst_seed": c.worst_seed,
             }
             for c in report.checks
         ],

@@ -5,13 +5,27 @@ per-sample seeds derive from a base seed through a splitmix64-style hash,
 and normal variates come from an explicit Box-Muller transform on the
 generator's uniforms. Identical seeds therefore reproduce identical states
 bit for bit, independent of how calls are scheduled.
+
+The draws are batched: each private ``_..._densities`` / ``_haar_amplitudes``
+function takes a sequence of seeds, reads every seed's stream in the same
+order a single draw does, and transforms and validates the whole stack at
+once. The public single-draw functions are the same code at one seed.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .states import DensityMatrix, Ensemble, PureState, from_ensemble, product_state
+from .states import (
+    DensityMatrix,
+    PureState,
+    _check_amplitudes,
+    _check_densities,
+    _check_dims,
+    _check_int,
+)
 
 __all__ = [
     "splitmix64",
@@ -21,12 +35,17 @@ __all__ = [
     "haar_random_unitary",
     "random_separable",
     "SEPARABLE_SPLITS",
+    "SEPARABLE_MEMBERS",
 ]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+#: Pure members of each constructed separable mixture, unless a caller asks otherwise.
+SEPARABLE_MEMBERS = 8
+
 #: Partitions of the four parties allowed within each separability class.
+#: Within a class every split lists its blocks in the same size order.
 SEPARABLE_SPLITS = {
     "1-3": (
         ((1,), (2, 3, 4)),
@@ -68,26 +87,55 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
-def _standard_normal(rng, count):
-    """Box-Muller normals; odd counts drop the spare draw."""
-    pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # in (0, 1], keeps the log finite
-    u2 = rng.random(pairs)
+def _box_muller(u1, u2):
+    """Complex normals ``r cos(a) + i r sin(a)`` from uniforms, elementwise.
+
+    ``u1`` must lie in (0, 1] so that the log stays finite.
+    """
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
-def _complex_normal(rng, count):
-    flat = _standard_normal(rng, 2 * count)
-    return flat[:count] + 1j * flat[count:]
+def _complex_normals(seeds, count) -> np.ndarray:
+    """``(len(seeds), count)`` complex normals; row i holds the first draws of seed i's stream.
+
+    Each row reads ``count`` uniforms for the radii, then ``count`` for the
+    angles, and all rows go through one Box-Muller transform.
+    """
+    u1 = np.empty((len(seeds), count))
+    u2 = np.empty((len(seeds), count))
+    for row, seed in enumerate(seeds):
+        rng = _generator(seed)
+        u1[row] = 1.0 - rng.random(count)
+        u2[row] = rng.random(count)
+    return _box_muller(u1, u2)
+
+
+def _haar_amplitudes(d, n, seeds) -> np.ndarray:
+    """Validated Haar state vectors, one row per seed."""
+    amps = _complex_normals(seeds, d**n)
+    for row in amps:
+        # np.linalg.norm of each row alone keeps a row bit-identical to a one-seed draw
+        row /= np.linalg.norm(row)
+    _check_amplitudes(amps)
+    return amps
 
 
 def haar_random_pure(d, n, seed) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussian amplitudes."""
-    rng = _generator(seed)
-    amp = _complex_normal(rng, int(d) ** int(n))
-    return PureState(amp / np.linalg.norm(amp), d, n)
+    d, n = _check_dims(d, n)
+    return PureState._trusted(_haar_amplitudes(d, n, [seed])[0], d, n)
+
+
+def _ginibre_densities(d, n, rank, seeds) -> np.ndarray:
+    """Validated ``G G^dagger / Tr(G G^dagger)`` matrices, one per seed."""
+    dim = d**n
+    g = _complex_normals(seeds, dim * rank).reshape(-1, dim, rank)
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    _check_densities(mats)
+    return mats
 
 
 def random_mixed(d, n, rank, seed) -> DensityMatrix:
@@ -96,34 +144,79 @@ def random_mixed(d, n, rank, seed) -> DensityMatrix:
     ``rank`` columns of G cap the numerical rank of the result; rank 1 gives
     pure states, rank d^n the unconstrained ensemble.
     """
-    dim = int(d) ** int(n)
-    rank = int(rank)
+    d, n = _check_dims(d, n)
+    dim = d**n
+    rank = _check_int(rank, "rank")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
-    rng = _generator(seed)
-    g = _complex_normal(rng, dim * rank).reshape(dim, rank)
-    mat = g @ g.conj().T
-    mat /= mat.trace().real
-    return DensityMatrix(mat, d, n)
+    return DensityMatrix._trusted(_ginibre_densities(d, n, rank, [seed])[0], d, n)
 
 
 def haar_random_unitary(dim, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a Gaussian matrix with phases fixed."""
-    rng = _generator(seed)
-    g = _complex_normal(rng, dim * dim).reshape(dim, dim)
+    g = _complex_normals([seed], dim * dim).reshape(dim, dim)
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
 
 
-def _simplex_weights(rng, count):
-    """Uniform point on the probability simplex via sorted uniform cuts."""
-    cuts = np.sort(rng.random(count - 1))
-    return np.diff(np.concatenate([[0.0], cuts, [1.0]]))
+@lru_cache(maxsize=None)
+def _split_layout(d, label):
+    """Block lengths of one class's members and each split's index permutation.
+
+    ``perms[s]`` maps every party-order flat index of a four-party product
+    vector to its flat index in the block order of split ``s``, so that
+    ``outer[..., perms[s]]`` reorders a product built block by block.
+    """
+    splits = SEPARABLE_SPLITS[label]
+    lengths = tuple(d ** len(block) for block in splits[0])
+    block_index = np.arange(d**4).reshape((d,) * 4)
+    perms = np.stack([
+        block_index.transpose(np.argsort([p for block in split for p in block])).reshape(-1)
+        for split in splits
+    ])
+    perms.setflags(write=False)
+    return lengths, perms
 
 
-def random_separable(d, label, seed, members: int = 8) -> DensityMatrix:
+def _separable_densities(d, label, seeds, members) -> np.ndarray:
+    """Validated separable mixtures, one per seed; see ``random_separable``.
+
+    Per seed the stream gives the simplex cuts, then per member the split
+    and the uniforms of its blocks in block order (radii, then angles, per
+    block); the transforms, products and mixtures run on the whole stack.
+    """
+    lengths, perms = _split_layout(d, label)
+    count = len(seeds)
+    cuts = np.empty((count, members - 1))
+    picks = np.empty((count, members), dtype=np.intp)
+    uniforms = np.empty((count, members, 2 * sum(lengths)))
+    for row, seed in enumerate(seeds):
+        rng = _generator(seed)
+        cuts[row] = rng.random(members - 1)
+        for m in range(members):
+            picks[row, m] = rng.integers(len(perms))
+            uniforms[row, m] = rng.random(uniforms.shape[-1])
+    weights = np.diff(np.sort(cuts, axis=-1), prepend=0.0, append=1.0, axis=-1)
+    blocks = []
+    start = 0
+    for length in lengths:
+        u1 = 1.0 - uniforms[..., start : start + length]
+        block = _box_muller(u1, uniforms[..., start + length : start + 2 * length])
+        blocks.append(block / np.linalg.norm(block, axis=-1, keepdims=True))
+        start += 2 * length
+    vectors = blocks[0]
+    for block in blocks[1:]:
+        vectors = (vectors[..., :, None] * block[..., None, :]).reshape(count, members, -1)
+    vectors = np.take_along_axis(vectors, perms[picks], axis=-1)
+    _check_amplitudes(vectors.reshape(-1, d**4))
+    mats = (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
+    _check_densities(mats)
+    return mats
+
+
+def random_separable(d, label, seed, members: int = SEPARABLE_MEMBERS) -> DensityMatrix:
     """Random four-party mixture of product states from one separability class.
 
     Each of the ``members`` pure members picks one partition allowed by the
@@ -131,20 +224,9 @@ def random_separable(d, label, seed, members: int = 8) -> DensityMatrix:
     blocks; the mixture weights are uniform on the simplex. The result is a
     genuinely mixed member of the class, not just a pure product state.
     """
-    try:
-        splits = SEPARABLE_SPLITS[label]
-    except KeyError:
-        raise ValueError(f"unknown separability class {label!r}") from None
-    if members < 1:
+    if label not in SEPARABLE_SPLITS:
+        raise ValueError(f"unknown separability class {label!r}")
+    if _check_int(members, "members") < 1:
         raise ValueError("members must be at least 1")
-    rng = _generator(seed)
-    weights = _simplex_weights(rng, members)
-    pures = []
-    for _ in range(members):
-        split = splits[int(rng.integers(len(splits)))]
-        factors = []
-        for parties in split:
-            vec = _complex_normal(rng, int(d) ** len(parties))
-            factors.append((parties, vec / np.linalg.norm(vec)))
-        pures.append(product_state(factors, d))
-    return from_ensemble(Ensemble(list(zip(weights, pures))))
+    d, n = _check_dims(d, 4)
+    return DensityMatrix._trusted(_separable_densities(d, label, [seed], members)[0], d, n)

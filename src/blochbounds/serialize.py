@@ -60,7 +60,7 @@ def state_from_json(obj):
         members = []
         for member in _require(obj, "members"):
             amp = _vector_from_pairs(_require(member, "amplitudes"))
-            members.append((float(_require(member, "weight")), states.PureState(amp, d, n)))
+            members.append((_weight(member), states.PureState(amp, d, n)))
         return states.from_ensemble(states.Ensemble(members))
     if kind == "matrix":
         rows = _require(obj, "matrix")
@@ -70,6 +70,14 @@ def state_from_json(obj):
         )
         return states.DensityMatrix(mat, d, n)
     raise ValueError(f"unknown state kind {kind!r}")
+
+
+def _weight(member):
+    """An ensemble member's weight, which must be a JSON number (not a bool or a string)."""
+    weight = _require(member, "weight")
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        raise ValueError(f"ensemble weight must be a number, got {weight!r}")
+    return float(weight)
 
 
 def _check_parties(obj, expected):

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_ATOL",
     "MAX_PARTIES",
+    "MAX_DENSE_BYTES",
     "PureState",
     "DensityMatrix",
     "Ensemble",
@@ -32,6 +33,18 @@ __all__ = [
 DEFAULT_ATOL = 1e-9
 
 MAX_PARTIES = 4
+
+#: Cap, in bytes, on the largest dense complex array one (d, n) size needs:
+#: the d^n x d^n density matrix, or for n = 1 the d^2 local operators of
+#: d x d that the Bloch map contracts with. Larger sizes are refused before
+#: anything is allocated. The largest four-party size it admits is d = 8
+#: (a 256 MiB matrix); the Bloch pass over it holds a few arrays that large.
+MAX_DENSE_BYTES = 1 << 28
+
+
+def _dense_bytes(d, n):
+    """Bytes of the largest dense complex array of a (d, n) state; see ``MAX_DENSE_BYTES``."""
+    return 16 * d ** (2 * max(n, 2))
 
 
 def _check_int(value, what):
@@ -52,12 +65,80 @@ def _check_local_dim(local_dim):
 
 
 def _check_dims(local_dim, num_parties):
-    """The one validator for (d, n): integers with d >= 2 and 1 <= n <= MAX_PARTIES."""
+    """The one validator for (d, n).
+
+    Both must be integers with d >= 2 and 1 <= n <= MAX_PARTIES, and the
+    dense arrays of the size must fit within ``MAX_DENSE_BYTES``.
+    """
     d = _check_local_dim(local_dim)
     n = _check_int(num_parties, "party count")
     if not 1 <= n <= MAX_PARTIES:
         raise ValueError(f"party count must lie in 1..{MAX_PARTIES}, got {n}")
+    size = _dense_bytes(d, n)
+    if size > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"d={d}, n={n} needs dense arrays of {size} bytes, "
+            f"above the cap of {MAX_DENSE_BYTES} bytes"
+        )
     return d, n
+
+
+def _check_amplitudes(amps, atol=DEFAULT_ATOL):
+    """Refuse a (B, dim) stack of state vectors unless every row is finite and normalized."""
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes contain non-finite values (NaN or infinity)")
+    norms = np.linalg.norm(amps, axis=-1)
+    bad = np.abs(norms - 1.0) > atol
+    if bad.any():
+        raise ValueError(f"state vector norm {norms[bad.argmax()]!r} is not 1 within {atol}")
+
+
+def _purities(mats):
+    """Tr(rho^2) of every matrix in a (B, dim, dim) stack."""
+    return np.einsum("bij,bji->b", mats, mats).real
+
+
+def _check_densities(mats, atol=DEFAULT_ATOL):
+    """Validate a (B, dim, dim) stack of density matrices; returns their purities.
+
+    Every matrix must be finite, Hermitian, of unit trace, positive
+    semidefinite and of purity in [1/dim, 1], each within ``atol``. Criteria
+    are checked in that order over the whole stack, and the first matrix
+    failing one is refused with its message.
+
+    Positivity is gated by a Cholesky factorization of ``H + atol*I``, with
+    H the Hermitian part: it succeeds when every eigenvalue of H exceeds
+    ``-atol``. Only when it fails are the eigenvalues computed, and a matrix
+    is refused when its smallest eigenvalue lies below ``-atol``.
+    """
+    dim = mats.shape[-1]
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix contains non-finite entries (NaN or infinity)")
+    adjoint = mats.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(mats - adjoint).max(axis=(-2, -1))
+    bad = herm_dev > atol
+    if bad.any():
+        raise ValueError(f"matrix deviates from Hermitian by {herm_dev[bad.argmax()]:.3e}")
+    traces = np.trace(mats, axis1=-2, axis2=-1)
+    bad = np.abs(traces - 1.0) > atol
+    if bad.any():
+        raise ValueError(f"trace {traces[bad.argmax()]!r} is not 1 within {atol}")
+    herm = 0.5 * (mats + adjoint)
+    try:
+        np.linalg.cholesky(herm + atol * np.eye(dim))
+    except np.linalg.LinAlgError:
+        smallest = np.linalg.eigvalsh(herm)[:, 0]
+        bad = smallest < -atol
+        if bad.any():
+            raise ValueError(
+                "matrix is not positive semidefinite: smallest eigenvalue "
+                f"{smallest[bad.argmax()]:.3e}"
+            ) from None
+    purities = _purities(mats)
+    bad = ~((1.0 / dim - atol <= purities) & (purities <= 1.0 + atol))
+    if bad.any():
+        raise ValueError(f"purity {float(purities[bad.argmax()])!r} lies outside [1/{dim}, 1]")
+    return purities
 
 
 class PureState:
@@ -70,15 +151,19 @@ class PureState:
             raise ValueError(
                 f"expected {d**n} amplitudes for d={d}, n={n}, got {amp.size}"
             )
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitudes contain non-finite values (NaN or infinity)")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > atol:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within {atol}")
+        _check_amplitudes(amp[None], atol)
         amp.setflags(write=False)
         self.local_dim = d
         self.num_parties = n
         self.amplitudes = amp
+
+    @classmethod
+    def _trusted(cls, amp, d, n):
+        """Wrap a vector the library built and already validated in its batch."""
+        psi = cls.__new__(cls)
+        amp.setflags(write=False)
+        psi.local_dim, psi.num_parties, psi.amplitudes = d, n, amp
+        return psi
 
     @property
     def dim(self):
@@ -98,7 +183,8 @@ class DensityMatrix:
 
     Construction checks Hermiticity, unit trace, positive semidefiniteness
     (smallest eigenvalue of the Hermitian part at least ``-atol``) and that
-    the purity lies in [1/d^n, 1], each within ``atol``. The stored matrix
+    the purity lies in [1/d^n, 1], each within ``atol``; the checks are
+    those ``_check_densities`` applies to a whole stack. The stored matrix
     is read-only.
     """
 
@@ -110,26 +196,19 @@ class DensityMatrix:
             raise ValueError(
                 f"expected a {dim} x {dim} matrix for d={d}, n={n}, got shape {mat.shape}"
             )
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix contains non-finite entries (NaN or infinity)")
-        herm_dev = np.abs(mat - mat.conj().T).max()
-        if herm_dev > atol:
-            raise ValueError(f"matrix deviates from Hermitian by {herm_dev:.3e}")
-        trace = mat.trace()
-        if abs(trace - 1.0) > atol:
-            raise ValueError(f"trace {trace!r} is not 1 within {atol}")
-        smallest = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]
-        if smallest < -atol:
-            raise ValueError(
-                f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
-            )
-        pur = float(np.einsum("ij,ji->", mat, mat).real)
-        if not (1.0 / dim - atol) <= pur <= 1.0 + atol:
-            raise ValueError(f"purity {pur!r} lies outside [1/{dim}, 1]")
+        _check_densities(mat[None], atol)
         mat.setflags(write=False)
         self.local_dim = d
         self.num_parties = n
         self.matrix = mat
+
+    @classmethod
+    def _trusted(cls, mat, d, n):
+        """Wrap a matrix the library built and already validated in its batch."""
+        rho = cls.__new__(cls)
+        mat.setflags(write=False)
+        rho.local_dim, rho.num_parties, rho.matrix = d, n, mat
+        return rho
 
     @property
     def dim(self):
@@ -202,7 +281,7 @@ def isotropic_ghz4(x, d) -> DensityMatrix:
 
 def product_max_entangled(d) -> PureState:
     """Two maximally entangled pairs side by side, on parties (1,2) and (3,4)."""
-    d = _check_local_dim(d)
+    d, _ = _check_dims(d, 4)
     pair = np.zeros(d * d, dtype=complex)
     pair[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
     return PureState(np.kron(pair, pair), d, 4)
@@ -234,6 +313,7 @@ def product_state(factors, local_dim) -> PureState:
     n = len(party_order)
     if sorted(party_order) != list(range(1, n + 1)):
         raise ValueError(f"factor parties must partition 1..{n}, got {party_order}")
+    _check_dims(d, n)
     full = tensors[0]
     for t in tensors[1:]:
         full = np.tensordot(full, t, axes=0)
@@ -253,23 +333,28 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be non-empty")
     if kept[0] < 1 or kept[-1] > n:
         raise ValueError(f"keep parties must lie in 1..{n}, got {kept}")
-    k = len(kept)
-    if k == n:
+    if len(kept) == n:
         return DensityMatrix(rho.matrix, d, n)
-    cur = rho.matrix.reshape((d,) * (2 * n))
+    return DensityMatrix(_partial_trace(rho.matrix[None], d, n, kept)[0], d, len(kept))
+
+
+def _partial_trace(mats, d, n, kept):
+    """Reduced states of a (B, d^n, d^n) stack on the ascending 1-based parties ``kept``."""
+    cur = mats.reshape((-1,) + (d,) * (2 * n))
     remaining = n
     for p in reversed(range(n)):
         if p + 1 in kept:
             continue
-        cur = np.trace(cur, axis1=p, axis2=p + remaining)
+        # axis 0 is the stack; party p's row digit is axis 1 + p
+        cur = np.trace(cur, axis1=1 + p, axis2=1 + p + remaining)
         remaining -= 1
-    return DensityMatrix(cur.reshape(d**k, d**k), d, k)
+    k = len(kept)
+    return cur.reshape(-1, d**k, d**k)
 
 
 def purity(rho: DensityMatrix) -> float:
     """Trace of the squared density matrix."""
-    m = rho.matrix
-    return float(np.einsum("ij,ji->", m, m).real)
+    return float(_purities(rho.matrix[None])[0])
 
 
 def as_pure(rho: DensityMatrix, atol=DEFAULT_ATOL) -> PureState:

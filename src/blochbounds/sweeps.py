@@ -1,29 +1,32 @@
 """Seeded verification sweeps over random states.
 
 A sweep draws ``count`` states from one sample specification and evaluates a
-set of named checks on every state, recording the worst case per check. All
+set of named checks on every state, recording the worst case per check and
+the sample that produced it. Samples are processed in chunks sized by
+``CHUNK_BYTES``: a chunk's states are drawn, validated and decomposed as
+one stack, and each check maps the chunk to one value per sample. All
 reductions are max/all-of, so reports are deterministic for a fixed spec
-regardless of evaluation order. A NaN observation makes its check's maximum
+regardless of the chunking. A NaN observation makes its check's maximum
 NaN, and a NaN maximum fails the check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .bloch import (
-    bloch_tensor,
-    full_decomposition,
-    norms_by_order,
-    pure_pair_sum_residual,
-    pure_triple_sum_residual,
-    purity_from_decomposition,
-    reconstruct,
-    tensor_norm_sq,
+    _coefficients,
+    _pair_rule_residual,
+    _purity_from_norms,
+    _rebuild,
+    _subset_norm,
+    _subset_norms,
+    _sums_by_order,
+    _triple_rule_residual,
 )
 from .bounds import (
     bipartite_norm_bound,
@@ -32,14 +35,29 @@ from .bounds import (
     triple_sum_bound,
     tripartite_norm_bound,
 )
-from .sampling import haar_random_pure, random_mixed, random_separable, sample_seed
-from .states import _check_dims, from_pure, partial_trace, purity
+from .sampling import (
+    SEPARABLE_MEMBERS,
+    _ginibre_densities,
+    _haar_amplitudes,
+    _separable_densities,
+    sample_seed,
+)
+from .states import (
+    DensityMatrix,
+    _check_densities,
+    _check_dims,
+    _check_int,
+    _dense_bytes,
+    _partial_trace,
+    _purities,
+)
 
 __all__ = [
     "PURE_HAAR",
     "MIXED_GINIBRE",
     "BOUND_TOL",
     "ROUND_TRIP_TOL",
+    "CHUNK_BYTES",
     "SampleSpec",
     "CheckOutcome",
     "SweepReport",
@@ -52,6 +70,13 @@ MIXED_GINIBRE = "mixed-ginibre"
 
 BOUND_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-10
+
+#: Byte budget of one sweep chunk, in the units of ``states.MAX_DENSE_BYTES``:
+#: a chunk holds as many samples as this many bytes of their dense arrays
+#: allow, and at least one. That is 2 samples at d=3, n=4, 22 at d=3, n=3
+#: and 64 at d=2, n=4; the transient arrays of a chunk take a small multiple
+#: of the budget, so the memory a sweep needs does not grow with ``count``.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,26 +93,46 @@ class SampleSpec:
     def __post_init__(self):
         if self.kind not in (PURE_HAAR, MIXED_GINIBRE):
             raise ValueError(f"unknown sample kind {self.kind!r}")
-        if self.count < 1:
+        if _check_int(self.count, "count") < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
-        _check_dims(self.local_dim, self.num_parties)
+        _check_int(self.base_seed, "base seed")
+        d, n = _check_dims(self.local_dim, self.num_parties)
         if self.rank is not None:
             if self.kind == PURE_HAAR:
                 raise ValueError("rank applies to mixed-ginibre sampling only")
-            dim = self.local_dim**self.num_parties
-            if not 1 <= self.rank <= dim:
-                raise ValueError(f"rank must lie in 1..{dim}, got {self.rank}")
+            rank = _check_int(self.rank, "rank")
+            if not 1 <= rank <= d**n:
+                raise ValueError(f"rank must lie in 1..{d**n}, got {rank}")
 
-    def draw(self, index):
-        seed = sample_seed(self.base_seed, index)
+    def draw(self, index) -> DensityMatrix:
+        """Sample ``index`` of this spec, the state the sweep checks under that index."""
+        return DensityMatrix._trusted(
+            self._draw([sample_seed(self.base_seed, index)])[0],
+            self.local_dim,
+            self.num_parties,
+        )
+
+    def _draw(self, seeds) -> np.ndarray:
+        """Validated density matrices of the given per-sample seeds, as one stack."""
+        d, n = self.local_dim, self.num_parties
         if self.kind == PURE_HAAR:
-            return from_pure(haar_random_pure(self.local_dim, self.num_parties, seed))
-        rank = self.rank or self.local_dim**self.num_parties
-        return random_mixed(self.local_dim, self.num_parties, rank, seed)
+            amps = _haar_amplitudes(d, n, seeds)
+            mats = amps[:, :, None] * amps.conj()[:, None, :]
+            _check_densities(mats)
+            return mats
+        return _ginibre_densities(d, n, self.rank or d**n, seeds)
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """Worst case of one check over a sweep.
+
+    ``worst_index`` is the first sample attaining ``max_observed`` (the
+    first NaN, if any) and ``worst_seed`` its per-sample seed: for a
+    per-sample check ``spec.draw(worst_index)`` replays it, for a
+    ``separable-*`` check ``random_separable(d, label, worst_seed)``.
+    """
+
     name: str
     samples: int
     max_observed: float
@@ -95,6 +140,8 @@ class CheckOutcome:
     worst_margin: float
     tolerance: float
     passed: bool
+    worst_index: int
+    worst_seed: int
 
 
 @dataclass(frozen=True)
@@ -110,52 +157,64 @@ class SweepReport:
         raise KeyError(name)
 
 
-class _SampleContext:
-    """One sampled state plus its lazily computed decomposition."""
+class _Chunk:
+    """A chunk of consecutive samples; its states and their Bloch data are built on first use."""
 
-    def __init__(self, rho, spec):
-        self.rho = rho
+    def __init__(self, spec, seeds):
         self.spec = spec
-        self._decomp = None
+        self.seeds = seeds
 
-    @property
-    def decomp(self):
-        if self._decomp is None:
-            self._decomp = full_decomposition(self.rho)
-        return self._decomp
+    @cached_property
+    def rho(self):
+        return self.spec._draw(self.seeds)
 
+    @cached_property
+    def coeffs(self):
+        return _coefficients(self.rho, self.spec.local_dim, self.spec.num_parties)
 
-def _nan_max(a, b):
-    """``max`` that keeps NaN (built-in ``max`` may drop it), so NaN fails its check."""
-    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+    @cached_property
+    def norms(self):
+        return _subset_norms(self.coeffs, self.spec.num_parties)
+
+    @cached_property
+    def order_sums(self):
+        return _sums_by_order(self.norms, self.spec.num_parties)
 
 
 def _max_order_norm(ctx, size):
-    n = ctx.spec.num_parties
-    return max(
-        tensor_norm_sq(ctx.decomp.tensors[s])
-        for s in itertools.combinations(range(1, n + 1), size)
-    )
+    return np.max([norm_sq for s, norm_sq in ctx.norms.items() if len(s) == size], axis=0)
+
+
+def _purity_gap(ctx):
+    d, n = ctx.spec.local_dim, ctx.spec.num_parties
+    return np.abs(_purity_from_norms(d, n, ctx.norms) - _purities(ctx.rho))
 
 
 def _marginal_purity_gap(ctx):
-    n = ctx.spec.num_parties
-    gap = 0.0
+    d, n = ctx.spec.local_dim, ctx.spec.num_parties
+    gap = np.zeros(len(ctx.rho))
     for i in range(1, n + 1):
         rest = tuple(p for p in range(1, n + 1) if p != i)
-        gap = max(
-            gap,
-            abs(
-                purity(partial_trace(ctx.rho, (i,)))
-                - purity(partial_trace(ctx.rho, rest))
-            ),
-        )
+        one = _check_densities(_partial_trace(ctx.rho, d, n, (i,)))
+        others = _check_densities(_partial_trace(ctx.rho, d, n, rest))
+        gap = np.maximum(gap, np.abs(one - others))
     return gap
 
 
 def _round_trip_error(ctx):
-    rebuilt = reconstruct(ctx.decomp)
-    return float(np.linalg.norm(rebuilt.matrix - ctx.rho.matrix))
+    d, n = ctx.spec.local_dim, ctx.spec.num_parties
+    coeffs = ctx.coeffs.copy()
+    coeffs[(slice(None),) + (0,) * n] = 1.0
+    rebuilt = _rebuild(coeffs, d, n)
+    _check_densities(rebuilt)
+    return np.linalg.norm(rebuilt - ctx.rho, axis=(-2, -1))
+
+
+def _separable_norm(ctx, label):
+    """Four-party squared norm of constructed separable mixtures, one per chunk seed."""
+    d = ctx.spec.local_dim
+    mats = _separable_densities(d, label, ctx.seeds, SEPARABLE_MEMBERS)
+    return _subset_norm(_coefficients(mats, d, 4), (1, 2, 3, 4), 4)
 
 
 @dataclass(frozen=True)
@@ -165,9 +224,8 @@ class _Check:
     arities: tuple
     pure_only: bool
     tol: float
-    evaluate: object = None  # ctx -> observed value
-    bound: object = None  # spec -> bound the value must stay below
-    separable_class: str | None = None
+    evaluate: object  # chunk -> observed value per sample
+    bound: object  # spec -> bound the value must stay below
 
 
 _CHECKS = (
@@ -213,7 +271,7 @@ _CHECKS = (
         (4,),
         False,
         BOUND_TOL,
-        evaluate=lambda ctx: norms_by_order(ctx.decomp)[3],
+        evaluate=lambda ctx: ctx.order_sums[3],
         bound=lambda spec: triple_sum_bound(spec.local_dim),
     ),
     _Check(
@@ -222,7 +280,7 @@ _CHECKS = (
         (1, 2, 3, 4),
         False,
         BOUND_TOL,
-        evaluate=lambda ctx: abs(purity_from_decomposition(ctx.decomp) - purity(ctx.rho)),
+        evaluate=_purity_gap,
         bound=lambda spec: 0.0,
     ),
     _Check(
@@ -240,7 +298,7 @@ _CHECKS = (
         (3,),
         True,
         BOUND_TOL,
-        evaluate=lambda ctx: abs(pure_pair_sum_residual(ctx.decomp)),
+        evaluate=lambda ctx: np.abs(_pair_rule_residual(ctx.spec.local_dim, ctx.order_sums)),
         bound=lambda spec: 0.0,
     ),
     _Check(
@@ -249,7 +307,7 @@ _CHECKS = (
         (4,),
         True,
         BOUND_TOL,
-        evaluate=lambda ctx: abs(pure_triple_sum_residual(ctx.decomp)),
+        evaluate=lambda ctx: np.abs(_triple_rule_residual(ctx.spec.local_dim, ctx.order_sums)),
         bound=lambda spec: 0.0,
     ),
     _Check(
@@ -261,37 +319,19 @@ _CHECKS = (
         evaluate=_round_trip_error,
         bound=lambda spec: 0.0,
     ),
-    _Check(
-        "separable-1-3",
-        "constructed 1-3 separable mixtures stay below their threshold",
-        (4,),
-        False,
-        BOUND_TOL,
-        separable_class="1-3",
-    ),
-    _Check(
-        "separable-2-2",
-        "constructed 2-2 separable mixtures stay below their threshold",
-        (4,),
-        False,
-        BOUND_TOL,
-        separable_class="2-2",
-    ),
-    _Check(
-        "separable-1-1-2",
-        "constructed 1-1-2 separable mixtures stay below their threshold",
-        (4,),
-        False,
-        BOUND_TOL,
-        separable_class="1-1-2",
-    ),
-    _Check(
-        "separable-1-1-1-1",
-        "constructed 1-1-1-1 separable mixtures stay below their threshold",
-        (4,),
-        False,
-        BOUND_TOL,
-        separable_class="1-1-1-1",
+    *(
+        _Check(
+            f"separable-{label}",
+            f"constructed {label} separable mixtures stay below their threshold",
+            (4,),
+            False,
+            BOUND_TOL,
+            evaluate=partial(_separable_norm, label=label),
+            bound=lambda spec, label=label: (
+                separability_thresholds(spec.local_dim).for_class(label)
+            ),
+        )
+        for label in ("1-3", "2-2", "1-1-2", "1-1-1-1")
     ),
 )
 
@@ -313,18 +353,9 @@ def available_checks(spec: SampleSpec | None = None):
     return [check.name for check in _CHECKS if _applicable(check, spec)]
 
 
-def _run_separable(check, spec, tol):
-    threshold = separability_thresholds(spec.local_dim).for_class(check.separable_class)
-    worst = float("-inf")
-    for i in range(spec.count):
-        rho = random_separable(
-            spec.local_dim, check.separable_class, sample_seed(spec.base_seed, i)
-        )
-        worst = _nan_max(worst, tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4))))
-    margin = worst - threshold
-    return CheckOutcome(
-        check.name, spec.count, worst, threshold, margin, tol, margin <= tol
-    )
+def _chunk_size(spec):
+    """Samples per chunk: as many as ``CHUNK_BYTES`` holds dense arrays of the spec's size."""
+    return max(1, CHUNK_BYTES // _dense_bytes(spec.local_dim, spec.num_parties))
 
 
 def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepReport:
@@ -355,31 +386,38 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     if not selected:
         raise ValueError("no applicable checks for this sample spec")
 
-    per_sample = [check for check in selected if check.separable_class is None]
-    worst = {check.name: float("-inf") for check in per_sample}
-    if per_sample:
-        for i in range(spec.count):
-            ctx = _SampleContext(spec.draw(i), spec)
-            for check in per_sample:
-                worst[check.name] = _nan_max(worst[check.name], check.evaluate(ctx))
+    # check name -> (index, value) of its worst sample so far
+    worst = {check.name: (0, -math.inf) for check in selected}
+    size = _chunk_size(spec)
+    for start in range(0, spec.count, size):
+        indices = range(start, min(start + size, spec.count))
+        ctx = _Chunk(spec, [sample_seed(spec.base_seed, i) for i in indices])
+        for check in selected:
+            values = check.evaluate(ctx)
+            i = int(np.argmax(values))  # the first NaN, else the first maximum
+            value = float(values[i])
+            best = worst[check.name][1]
+            # a NaN found earlier stays; otherwise a NaN or a strictly larger value replaces it
+            if not math.isnan(best) and not value <= best:
+                worst[check.name] = (indices[i], value)
 
     outcomes = []
     for check in selected:
         check_tol = tol if tol is not None else check.tol
-        if check.separable_class is not None:
-            outcomes.append(_run_separable(check, spec, check_tol))
-            continue
+        index, value = worst[check.name]
         bound = check.bound(spec)
-        margin = worst[check.name] - bound
+        margin = value - bound
         outcomes.append(
             CheckOutcome(
                 check.name,
                 spec.count,
-                worst[check.name],
+                value,
                 bound,
                 margin,
                 check_tol,
                 margin <= check_tol,
+                index,
+                sample_seed(spec.base_seed, index),
             )
         )
     return SweepReport(spec, tuple(outcomes), all(o.passed for o in outcomes))

@@ -2,14 +2,41 @@
 
 These helpers deliberately avoid the library's vectorized code paths so they
 can serve as independent oracles for the same quantities: the loop helpers
-use plain Python loops, and ``kron_bloch_tensor`` builds every full-space
-operator with np.kron and takes plain traces.
+use plain Python loops, ``kron_bloch_tensor`` builds every full-space
+operator with np.kron and takes plain traces, the ``single_*`` draws read
+one seed's stream at a time with one Box-Muller call per block, and
+``oracle_sample_value`` evaluates a sweep check on one sample with the
+public single-state functions.
 """
 
 import itertools
 from functools import reduce
 
 import numpy as np
+
+from blochbounds import (
+    MIXED_GINIBRE,
+    PURE_HAAR,
+    SEPARABLE_SPLITS,
+    Ensemble,
+    bloch_tensor,
+    from_ensemble,
+    from_pure,
+    full_decomposition,
+    haar_random_pure,
+    norms_by_order,
+    partial_trace,
+    product_state,
+    pure_pair_sum_residual,
+    pure_triple_sum_residual,
+    purity,
+    purity_from_decomposition,
+    random_mixed,
+    random_separable,
+    reconstruct,
+    sample_seed,
+    tensor_norm_sq,
+)
 
 
 def flat_index(digits, d):
@@ -94,3 +121,97 @@ def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return g + g.conj().T
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 64) - 1)))
+
+
+def _single_complex_normal(rng, count):
+    """``count`` complex normals from one stream: Box-Muller on the next 2 * count uniforms."""
+    u1 = 1.0 - rng.random(count)
+    u2 = rng.random(count)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    flat = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return flat[:count] + 1j * flat[count:]
+
+
+def single_haar_amplitudes(d, n, seed):
+    amp = _single_complex_normal(_philox(seed), d**n)
+    return amp / np.linalg.norm(amp)
+
+
+def single_ginibre_matrix(d, n, rank, seed):
+    dim = d**n
+    g = _single_complex_normal(_philox(seed), dim * rank).reshape(dim, rank)
+    mat = g @ g.conj().T
+    mat /= mat.trace().real
+    return mat
+
+
+def single_separable_matrix(d, label, seed, members=8):
+    """One separable mixture assembled member by member via ``product_state``/``from_ensemble``."""
+    splits = SEPARABLE_SPLITS[label]
+    rng = _philox(seed)
+    cuts = np.sort(rng.random(members - 1))
+    weights = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
+    pures = []
+    for _ in range(members):
+        split = splits[int(rng.integers(len(splits)))]
+        factors = []
+        for parties in split:
+            vec = _single_complex_normal(rng, d ** len(parties))
+            factors.append((parties, vec / np.linalg.norm(vec)))
+        pures.append(product_state(factors, d))
+    return from_ensemble(Ensemble(list(zip(weights, pures)))).matrix
+
+
+def oracle_check_value(rho, name):
+    """One sweep check's observed value on one state, from the public single-state functions."""
+    d, n = rho.local_dim, rho.num_parties
+    decomp = full_decomposition(rho)
+    norms = {s: tensor_norm_sq(t) for s, t in decomp.tensors.items()}
+    orders = {
+        "ball-radius": 1,
+        "bipartite-norm-bound": 2,
+        "tripartite-norm-bound": 3,
+        "fourpartite-norm-bound": 4,
+    }
+    if name in orders:
+        return max(v for s, v in norms.items() if len(s) == orders[name])
+    if name == "triple-norm-tradeoff":
+        return norms_by_order(decomp)[3]
+    if name == "purity-identity":
+        return abs(purity_from_decomposition(decomp) - purity(rho))
+    if name == "marginal-purity":
+        parties = range(1, n + 1)
+        gaps = []
+        for i in parties:
+            rest = [p for p in parties if p != i]
+            gaps.append(abs(purity(partial_trace(rho, (i,))) - purity(partial_trace(rho, rest))))
+        return max(gaps)
+    if name == "pure-pair-sum-rule":
+        return abs(pure_pair_sum_residual(decomp))
+    if name == "pure-triple-sum-rule":
+        return abs(pure_triple_sum_residual(decomp))
+    if name == "reconstruction-round-trip":
+        return float(np.linalg.norm(reconstruct(decomp).matrix - rho.matrix))
+    if name.startswith("separable-"):
+        return tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
+    raise KeyError(name)
+
+
+def oracle_sample_value(spec, name, index):
+    """A sweep check's value on sample ``index`` of ``spec``, drawn one state at a time."""
+    d, n = spec.local_dim, spec.num_parties
+    seed = sample_seed(spec.base_seed, index)
+    if name.startswith("separable-"):
+        rho = random_separable(d, name[len("separable-"):], seed)
+    elif spec.kind == PURE_HAAR:
+        rho = from_pure(haar_random_pure(d, n, seed))
+    else:
+        assert spec.kind == MIXED_GINIBRE
+        rho = random_mixed(d, n, spec.rank or d**n, seed)
+    return oracle_check_value(rho, name)
+

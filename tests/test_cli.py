@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix
+from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix, sample_seed
 from blochbounds.cli import main
 
 
@@ -202,6 +203,62 @@ def test_verify_passes_and_reports(capsys):
     for check in report["checks"]:
         assert check["samples"] == 25
         assert check["worst_margin"] <= check["tolerance"]
+
+
+def test_verify_names_the_worst_sample_in_json_and_text(capsys):
+    argv = ("verify", "--d", "2", "--parties", "2", "--samples", "7", "--seed", "3")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    for check in report["checks"]:
+        assert 0 <= check["worst_index"] < 7
+        assert check["worst_seed"] == sample_seed(3, check["worst_index"])
+    code, text, _ = run_cli(capsys, *argv)
+    first = report["checks"][0]
+    assert f"worst_index: {first['worst_index']}" in text
+    assert f"worst_seed: {first['worst_seed']}" in text
+
+
+def test_verify_refuses_oversized_dimensions_without_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "verify", "--d", "1000", "--parties", "4", "--samples", "1", "--seed", "0"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "above the cap" in err
+    assert peak < 4 << 20  # a d=1000, n=4 matrix would take 1.6e13 bytes
+    code, _, err = run_cli(capsys, "basis", "--d", "100000")
+    assert code == 2 and "above the cap" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--samples", "2.5"), ("--samples", "true"), ("--seed", "1.5")]
+)
+def test_verify_non_integer_count_or_seed_exits_two(capsys, flag, value):
+    argv = {"--d": "2", "--parties": "2", "--samples": "3", "--seed": "0"}
+    argv[flag] = value
+    code, out, err = run_cli(capsys, "verify", *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_boolean_ensemble_weight_in_state_file_exits_two(capsys, tmp_path):
+    doc = {
+        "d": 2,
+        "parties": 1,
+        "kind": "ensemble",
+        "members": [{"weight": True, "amplitudes": [[1, 0], [0, 0]]}],
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", "--state", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "weight" in err
 
 
 def test_verify_exit_one_on_failure(capsys):

@@ -13,7 +13,13 @@ from blochbounds import (
     sample_seed,
     splitmix64,
 )
-from blochbounds.sampling import _generator, _standard_normal
+from blochbounds.sampling import (
+    _complex_normals,
+    _ginibre_densities,
+    _haar_amplitudes,
+    _separable_densities,
+)
+from conftest import single_ginibre_matrix, single_haar_amplitudes, single_separable_matrix
 
 
 def test_splitmix64_reference_vector():
@@ -97,10 +103,10 @@ def test_haar_unitary_properties():
 
 
 def test_box_muller_moments():
-    rng = _generator(123)
-    draws = _standard_normal(rng, 200_000)
-    assert abs(draws.mean()) < 0.02
-    assert abs(draws.var() - 1.0) < 0.02
+    z = _complex_normals([123], 100_000)[0]
+    for draws in (z.real, z.imag):
+        assert abs(draws.mean()) < 0.02
+        assert abs(draws.var() - 1.0) < 0.02
 
 
 def test_separable_splits_partition_all_parties():
@@ -113,6 +119,8 @@ def test_separable_splits_partition_all_parties():
         }[label]
         for split in splits:
             assert sorted(len(block) for block in split) == sorted(sizes)
+            # the batched draw lays out every member's uniforms by the first split's block sizes
+            assert [len(block) for block in split] == [len(block) for block in splits[0]]
             flat = sorted(p for block in split for p in block)
             assert flat == [1, 2, 3, 4]
 
@@ -130,3 +138,32 @@ def test_random_separable_rejects_unknown_class():
         random_separable(2, "3-1", seed=1)
     with pytest.raises(ValueError):
         random_separable(2, "1-3", seed=1, members=0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 4), (4, 2)])
+def test_batched_haar_draws_are_bit_identical_to_single_draws(d, n):
+    seeds = [sample_seed(5, i) for i in range(7)]
+    batch = _haar_amplitudes(d, n, seeds)
+    for row, seed in zip(batch, seeds):
+        np.testing.assert_array_equal(row, single_haar_amplitudes(d, n, seed))
+        np.testing.assert_array_equal(row, haar_random_pure(d, n, seed).amplitudes)
+
+
+@pytest.mark.parametrize("d,n,rank", [(2, 2, 1), (2, 3, 8), (3, 3, 5), (3, 4, 81)])
+def test_batched_ginibre_draws_are_bit_identical_to_single_draws(d, n, rank):
+    seeds = [sample_seed(6, i) for i in range(5)]
+    batch = _ginibre_densities(d, n, rank, seeds)
+    for mat, seed in zip(batch, seeds):
+        np.testing.assert_array_equal(mat, single_ginibre_matrix(d, n, rank, seed))
+        np.testing.assert_array_equal(mat, random_mixed(d, n, rank, seed).matrix)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("label", sorted(SEPARABLE_SPLITS))
+def test_batched_separable_mixtures_match_member_by_member_assembly(d, label):
+    seeds = [sample_seed(7, i) for i in range(5)]
+    batch = _separable_densities(d, label, seeds, 8)
+    for mat, seed in zip(batch, seeds):
+        reference = single_separable_matrix(d, label, seed)
+        assert np.abs(mat - reference).max() <= 1e-15
+        assert np.abs(random_separable(d, label, seed).matrix - reference).max() <= 1e-15

@@ -93,6 +93,20 @@ def test_schema_errors():
         state_from_json({"d": 2, "parties": 1, "kind": "pure", "amplitudes": [1.0, 0.0]})
 
 
+@pytest.mark.parametrize("weight", [True, "1.0", None, [1.0]])
+def test_ensemble_weight_must_be_a_json_number(weight):
+    doc = {
+        "d": 2,
+        "parties": 1,
+        "kind": "ensemble",
+        "members": [{"weight": weight, "amplitudes": [[1, 0], [0, 0]]}],
+    }
+    with pytest.raises(ValueError, match="weight"):
+        state_from_json(doc)
+    doc["members"][0]["weight"] = 1
+    assert purity(state_from_json(doc)) == 1.0
+
+
 def test_invalid_states_rejected_on_parse():
     with pytest.raises(ValueError, match="norm"):
         state_from_json(

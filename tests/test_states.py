@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from blochbounds import states
 from blochbounds import (
     DensityMatrix,
     Ensemble,
@@ -18,6 +20,9 @@ from blochbounds import (
     product_state,
     purity,
     random_mixed,
+    generate_basis,
+    haar_random_unitary,
+    random_separable,
 )
 from conftest import loop_partial_trace
 
@@ -306,3 +311,109 @@ def test_state_objects_are_immutable():
     rho = from_pure(psi)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.0
+
+
+def _with_smallest_eigenvalue(u, smallest, seed):
+    """A Hermitian unit-trace matrix with eigenvectors ``u`` and least eigenvalue ``smallest``."""
+    rng = np.random.default_rng(seed)
+    rest = rng.random(len(u) - 1)
+    eigs = np.concatenate([[smallest], rest * (1.0 - smallest) / rest.sum()])
+    mat = (u * eigs) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (4, 4)])
+def test_psd_gate_decides_like_the_smallest_eigenvalue_at_the_boundary(d, n):
+    # 40 matrices per side of the boundary lambda_min = -atol, 1e-3 relative away from it
+    atol = states.DEFAULT_ATOL
+    for seed in range(40):
+        u = haar_random_unitary(d**n, seed)
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            mat = _with_smallest_eigenvalue(u, -atol * factor, seed)
+            exact = np.linalg.eigvalsh(mat)[0] >= -atol
+            assert exact == (factor < 1.0)
+            try:
+                DensityMatrix(mat, d, n)
+                accepted = True
+            except ValueError as exc:
+                assert "not positive semidefinite" in str(exc)
+                accepted = False
+            assert accepted == exact, (seed, factor)
+
+
+def test_psd_gate_computes_eigenvalues_only_when_cholesky_fails(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(states.np.linalg, "eigvalsh", counting)
+    random_mixed(3, 3, 27, seed=4)
+    random_separable(2, "2-2", seed=4)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"smallest eigenvalue -5\.000e-01"):
+        DensityMatrix(np.diag([1.5, -0.5]), 2, 1)
+    assert calls == [(1, 2, 2)]
+
+
+_BAD_MEMBERS = {
+    "non-finite": np.diag([np.nan, 0.0, 0.0, 1.0]),
+    "non-Hermitian": np.array([[0.5, 0.3, 0, 0], [0.1, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    "trace": np.eye(4) / 2,
+    "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MEMBERS))
+def test_stacked_validator_refuses_one_bad_member_with_the_density_matrix_message(kind):
+    bad = _BAD_MEMBERS[kind]
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad, 2, 2)
+    stack = np.stack([random_mixed(2, 2, 4, seed).matrix for seed in range(5)])
+    states._check_densities(stack)  # the good stack passes
+    stack[3] = bad
+    with pytest.raises(ValueError) as stacked:
+        states._check_densities(stack)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_amplitude_check_refuses_one_unnormalized_row():
+    amps = np.stack([haar_random_pure(2, 2, seed).amplitudes for seed in range(4)])
+    states._check_amplitudes(amps)
+    amps[2] *= 1.5
+    with pytest.raises(ValueError, match="state vector norm"):
+        states._check_amplitudes(amps)
+
+
+def test_dense_size_cap_admits_d8_four_parties_and_refuses_d9():
+    assert states._check_dims(8, 4) == (8, 4)
+    with pytest.raises(ValueError, match="above the cap"):
+        states._check_dims(9, 4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PureState([1.0], 1000, 4),
+        lambda: DensityMatrix([[1.0]], 1000, 4),
+        lambda: ghz(1000, 4),
+        lambda: isotropic_ghz4(0.5, 1000),
+        lambda: product_max_entangled(1000),
+        lambda: product_state([((p,), np.ones(200) / np.sqrt(200)) for p in (1, 2, 3, 4)], 200),
+        lambda: haar_random_pure(1000, 4, seed=0),
+        lambda: random_mixed(1000, 4, 1, seed=0),
+        lambda: random_separable(1000, "2-2", seed=0),
+        lambda: generate_basis(10**5),
+    ],
+)
+def test_oversized_states_are_refused_before_allocation(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap"):
+            make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the refused sizes need more than 256 MiB per array

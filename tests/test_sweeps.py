@@ -8,8 +8,11 @@ from blochbounds import (
     PURE_HAAR,
     SampleSpec,
     available_checks,
+    random_separable,
     run_sweep,
+    sample_seed,
 )
+from conftest import oracle_check_value, oracle_sample_value
 
 
 def test_sample_spec_validation():
@@ -33,22 +36,122 @@ def test_sample_spec_rejects_non_integer_dimensions(d, n):
         SampleSpec(d, n, PURE_HAAR, 10, 0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("count", 2.5),
+        ("count", True),
+        ("base_seed", 1.5),
+        ("base_seed", "7"),
+        ("rank", 2.5),
+        ("rank", True),
+    ],
+)
+def test_sample_spec_rejects_non_integer_counts_seeds_and_ranks(field, value):
+    fields = {"count": 10, "base_seed": 0, "rank": 2}
+    fields[field] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        SampleSpec(2, 2, MIXED_GINIBRE, **fields)
+
+
+def test_sample_spec_refuses_sizes_over_the_dense_cap():
+    with pytest.raises(ValueError, match="above the cap"):
+        SampleSpec(1000, 4, PURE_HAAR, 1, 0)
+
+
 def test_nan_observation_fails_its_check(monkeypatch):
-    # a NaN on a middle sample must survive the max reduction over samples
+    # a NaN on one sample must survive the max within its chunk and across chunks:
+    # on a middle sample of the first chunk, and on the first sample of the second
+    size = sweeps._chunk_size(SampleSpec(2, 3, PURE_HAAR, 1, 0))
+    spec = SampleSpec(2, 3, PURE_HAAR, size + 3, 0)
     original = sweeps._max_order_norm
-    calls = []
+    for target in (size // 2, size):
+        target_seed = sample_seed(spec.base_seed, target)
+        chunks = []
 
-    def flaky(ctx, size):
-        calls.append(size)
-        return math.nan if len(calls) == 2 else original(ctx, size)
+        def flaky(ctx, order):
+            chunks.append(len(ctx.seeds))
+            values = original(ctx, order).copy()
+            if target_seed in ctx.seeds:
+                values[ctx.seeds.index(target_seed)] = math.nan
+            return values
 
-    monkeypatch.setattr(sweeps, "_max_order_norm", flaky)
-    report = run_sweep(SampleSpec(2, 3, PURE_HAAR, 5, 0), checks=["ball-radius"])
-    outcome = report.outcome("ball-radius")
-    assert len(calls) == 5
-    assert math.isnan(outcome.max_observed)
-    assert not outcome.passed
-    assert not report.passed
+        monkeypatch.setattr(sweeps, "_max_order_norm", flaky)
+        report = run_sweep(spec, checks=["ball-radius"])
+        outcome = report.outcome("ball-radius")
+        assert chunks == [size, 3]
+        assert math.isnan(outcome.max_observed)
+        assert outcome.worst_index == target and outcome.worst_seed == target_seed
+        assert not outcome.passed
+        assert not report.passed
+
+
+def test_sweep_validates_every_state_it_builds(monkeypatch):
+    # per chunk: the samples, their marginals and reconstructions, and every
+    # separable member and mixture each pass through a stacked validator once
+    from blochbounds import sampling
+
+    seen = []
+    for module, name in [
+        (sweeps, "_check_densities"),
+        (sampling, "_check_densities"),
+        (sampling, "_check_amplitudes"),
+    ]:
+        original = getattr(module, name)
+
+        def recording(stack, *args, _original=original, _name=name):
+            seen.append((_name, stack.shape))
+            return _original(stack, *args)
+
+        monkeypatch.setattr(module, name, recording)
+    spec = SampleSpec(2, 4, PURE_HAAR, 5, 41)
+    assert sweeps._chunk_size(spec) >= 5
+    run_sweep(spec)
+    dens = [shape for name, shape in seen if name == "_check_densities"]
+    amps = [shape for name, shape in seen if name == "_check_amplitudes"]
+    # samples, reconstructions and four classes of separable mixtures
+    assert dens.count((5, 16, 16)) == 1 + 1 + 4
+    # one-party and three-party marginals for each of the four parties
+    assert dens.count((5, 2, 2)) == 4 and dens.count((5, 8, 8)) == 4
+    # the Haar sample vectors, then the members of each separable class
+    assert amps == [(5, 16)] + [(5 * sampling.SEPARABLE_MEMBERS, 16)] * 4
+
+
+def _chunk_counts(spec):
+    size = sweeps._chunk_size(spec)
+    return sorted({1, max(size - 1, 1), size, size + 1})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SampleSpec(3, 4, PURE_HAAR, 1, 21), SampleSpec(2, 3, MIXED_GINIBRE, 1, 22, rank=3)],
+    ids=["d3n4-pure", "d2n3-mixed"],
+)
+def test_sweep_matches_per_sample_oracle_across_chunk_edges(spec):
+    for count in _chunk_counts(spec):
+        sized = SampleSpec(
+            spec.local_dim, spec.num_parties, spec.kind, count, spec.base_seed, spec.rank
+        )
+        report = run_sweep(sized)
+        assert [o.name for o in report.checks] == available_checks(sized)
+        for outcome in report.checks:
+            values = [oracle_sample_value(sized, outcome.name, i) for i in range(count)]
+            assert outcome.samples == count
+            assert abs(outcome.max_observed - max(values)) <= 1e-12, (count, outcome.name)
+            assert abs(values[outcome.worst_index] - max(values)) <= 1e-12
+            assert outcome.worst_seed == sample_seed(spec.base_seed, outcome.worst_index)
+
+
+def test_worst_sample_replays_its_maximum():
+    spec = SampleSpec(2, 4, PURE_HAAR, 40, 31)
+    report = run_sweep(spec)
+    for outcome in report.checks:
+        if outcome.name.startswith("separable-"):
+            label = outcome.name[len("separable-"):]
+            rho = random_separable(spec.local_dim, label, outcome.worst_seed)
+        else:
+            rho = spec.draw(outcome.worst_index)
+        assert abs(oracle_check_value(rho, outcome.name) - outcome.max_observed) <= 1e-12
 
 
 def test_available_checks_filtering():
