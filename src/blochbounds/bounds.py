@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bloch import bloch_tensor, full_decomposition, tensor_norm_sq
-from .states import DensityMatrix, PureState, _check_local_dim, from_pure
+from .states import DensityMatrix, PureState, _check_local_dim, _check_real, from_pure
 
 __all__ = [
     "COMPARISON_TOL",
@@ -50,12 +50,6 @@ NECESSARY_ONLY_NOTE = (
     "Norm thresholds are necessary conditions only: exceeding a class bound "
     "excludes that class, but staying below it never certifies separability."
 )
-
-
-def _check_tol(tol):
-    if not math.isfinite(tol):
-        raise ValueError(f"comparison tolerance must be finite, got {tol}")
-    return tol
 
 
 def ball_radii(d):
@@ -185,13 +179,13 @@ def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationR
     """Rule out every separability class whose threshold the norm exceeds.
 
     Raises ValueError unless ``rho`` has exactly four parties and ``tol`` is
-    finite. Nothing is ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
+    a finite real number. Nothing is ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
     """
     if rho.num_parties != 4:
         raise ValueError(
             f"classification needs a four-party state, got n={rho.num_parties}"
         )
-    tol = _check_tol(tol)
+    tol = _check_real(tol, "comparison tolerance")
     norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
     thresholds = separability_thresholds(rho.local_dim)
     table = thresholds.as_dict()
@@ -291,13 +285,13 @@ def tradeoff_check(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> TradeoffR
 
     All four norms come from one decomposition of ``rho`` and are returned
     in ``per_triple``. Raises ValueError unless ``rho`` has four parties and
-    ``tol`` is finite.
+    ``tol`` is a finite real number.
     """
     if rho.num_parties != 4:
         raise ValueError(
             f"the trade-off applies to four-party states, got n={rho.num_parties}"
         )
-    tol = _check_tol(tol)
+    tol = _check_real(tol, "comparison tolerance")
     decomp = full_decomposition(rho)
     per_triple = {
         triple: tensor_norm_sq(decomp.tensors[triple])

@@ -30,8 +30,8 @@ from .bounds import (
     separability_thresholds,
     tradeoff_check,
 )
-from .serialize import BUILTIN_NAMES, as_density, state_from_json, state_to_json
-from .states import DensityMatrix, as_pure, purity
+from .serialize import BUILTIN_NAMES, _encode_complex, as_density, state_from_json, state_to_json
+from .states import DensityMatrix, as_pure, from_pure, purity
 from .sweeps import MIXED_GINIBRE, PURE_HAAR, SampleSpec, available_checks, run_sweep
 
 TOL_ENV_VAR = "BLOCHBOUNDS_TOL"
@@ -177,14 +177,10 @@ def _parse_subset(raw):
 
 def _cmd_basis(args):
     basis = generate_basis(args.d)
-    generators = []
-    for label, matrix in zip(basis.labels, basis):
-        generators.append(
-            {
-                "label": label,
-                "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in matrix],
-            }
-        )
+    generators = [
+        {"label": label, "matrix": _encode_complex(matrix)}
+        for label, matrix in zip(basis.labels, basis)
+    ]
     return {"d": basis.local_dim, "count": len(basis), "generators": generators}, 0
 
 
@@ -206,7 +202,7 @@ def _cmd_decompose(args):
             {
                 "subset": list(t.subset),
                 "norm_sq": tensor_norm_sq(t),
-                "coefficients": [float(c) for c in t.coefficients],
+                "coefficients": t.coefficients.tolist(),
             }
             for t in tensors
         ],
@@ -252,7 +248,7 @@ def _cmd_measure(args):
     if isinstance(state, DensityMatrix):
         state = as_pure(state)
     d, n = state.local_dim, state.num_parties
-    norm_sq = tensor_norm_sq(bloch_tensor(state.density(), tuple(range(1, n + 1))))
+    norm_sq = tensor_norm_sq(bloch_tensor(from_pure(state), tuple(range(1, n + 1))))
     value = _measure_from_norm_sq(d, n, norm_sq)
     report = {
         "d": d,

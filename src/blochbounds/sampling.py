@@ -8,8 +8,10 @@ bit for bit, independent of how calls are scheduled.
 
 The draws are batched: each private ``_..._densities`` / ``_haar_amplitudes``
 function takes a sequence of seeds, reads every seed's stream in the same
-order a single draw does, and transforms and validates the whole stack at
-once. The public single-draw functions are the same code at one seed.
+order a single draw does, and transforms the whole stack at once into raw
+arrays. They validate nothing: a public single-draw function is the same
+code at one seed, and its state's constructor validates the result, while
+a sweep validates each chunk's stack where it uses it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import (
-    DensityMatrix,
-    PureState,
-    _check_amplitudes,
-    _check_densities,
-    _check_dims,
-    _check_int,
-)
+from .states import MAX_DENSE_BYTES, DensityMatrix, PureState, _check_dims, _check_int
 
 __all__ = [
     "splitmix64",
@@ -113,28 +108,26 @@ def _complex_normals(seeds, count) -> np.ndarray:
 
 
 def _haar_amplitudes(d, n, seeds) -> np.ndarray:
-    """Validated Haar state vectors, one row per seed."""
+    """Haar state vectors, one row per seed."""
     amps = _complex_normals(seeds, d**n)
     for row in amps:
         # np.linalg.norm of each row alone keeps a row bit-identical to a one-seed draw
         row /= np.linalg.norm(row)
-    _check_amplitudes(amps)
     return amps
 
 
 def haar_random_pure(d, n, seed) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussian amplitudes."""
     d, n = _check_dims(d, n)
-    return PureState._trusted(_haar_amplitudes(d, n, [seed])[0], d, n)
+    return PureState(_haar_amplitudes(d, n, [seed])[0], d, n)
 
 
 def _ginibre_densities(d, n, rank, seeds) -> np.ndarray:
-    """Validated ``G G^dagger / Tr(G G^dagger)`` matrices, one per seed."""
+    """``G G^dagger / Tr(G G^dagger)`` matrices, one per seed."""
     dim = d**n
     g = _complex_normals(seeds, dim * rank).reshape(-1, dim, rank)
     mats = g @ g.conj().swapaxes(-1, -2)
     mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
-    _check_densities(mats)
     return mats
 
 
@@ -149,11 +142,19 @@ def random_mixed(d, n, rank, seed) -> DensityMatrix:
     rank = _check_int(rank, "rank")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
-    return DensityMatrix._trusted(_ginibre_densities(d, n, rank, [seed])[0], d, n)
+    return DensityMatrix(_ginibre_densities(d, n, rank, [seed])[0], d, n)
 
 
 def haar_random_unitary(dim, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a Gaussian matrix with phases fixed."""
+    dim = _check_int(dim, "dimension")
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
+    if 16 * dim**2 > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a {dim} x {dim} unitary needs {16 * dim**2} bytes, "
+            f"above the cap of {MAX_DENSE_BYTES} bytes"
+        )
     g = _complex_normals([seed], dim * dim).reshape(dim, dim)
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()
@@ -181,7 +182,7 @@ def _split_layout(d, label):
 
 
 def _separable_densities(d, label, seeds, members) -> np.ndarray:
-    """Validated separable mixtures, one per seed; see ``random_separable``.
+    """Separable mixtures, one per seed; see ``random_separable``.
 
     Per seed the stream gives the simplex cuts, then per member the split
     and the uniforms of its blocks in block order (radii, then angles, per
@@ -210,10 +211,7 @@ def _separable_densities(d, label, seeds, members) -> np.ndarray:
     for block in blocks[1:]:
         vectors = (vectors[..., :, None] * block[..., None, :]).reshape(count, members, -1)
     vectors = np.take_along_axis(vectors, perms[picks], axis=-1)
-    _check_amplitudes(vectors.reshape(-1, d**4))
-    mats = (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
-    _check_densities(mats)
-    return mats
+    return (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
 
 
 def random_separable(d, label, seed, members: int = SEPARABLE_MEMBERS) -> DensityMatrix:
@@ -229,4 +227,4 @@ def random_separable(d, label, seed, members: int = SEPARABLE_MEMBERS) -> Densit
     if _check_int(members, "members") < 1:
         raise ValueError("members must be at least 1")
     d, n = _check_dims(d, 4)
-    return DensityMatrix._trusted(_separable_densities(d, label, [seed], members)[0], d, n)
+    return DensityMatrix(_separable_densities(d, label, [seed], members)[0], d, n)

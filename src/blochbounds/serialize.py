@@ -1,8 +1,8 @@
 """JSON wire format for states.
 
 Every state document is an object with ``d``, ``parties`` and ``kind``.
-Complex numbers are always two-element ``[re, im]`` arrays, matrices are
-dense and row-major.
+Complex numbers are always two-element ``[re, im]`` arrays of JSON numbers,
+matrices are dense and row-major.
 
     {"d": 2, "parties": 4, "kind": "pure",     "amplitudes": [[re, im], ...]}
     {"d": 2, "parties": 4, "kind": "ensemble", "members": [{"weight": w, "amplitudes": [...]}, ...]}
@@ -15,6 +15,8 @@ four-party.
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 import numpy as np
 
@@ -31,18 +33,24 @@ def _require(obj, key):
     return obj[key]
 
 
-def _complex_from_pair(pair):
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"complex entries must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def _decode_complex(entries, what, ndim):
+    """``entries``, a rectangular nest of ``[re, im]`` pairs of JSON numbers, as a complex array.
+
+    ``ndim`` counts the pair axis, so a vector has 2 and a matrix 3. The
+    floats are viewed as complex, so every entry round-trips exactly.
+    """
+    parts = np.array(entries, dtype=object)
+    if parts.ndim != ndim or parts.shape[-1] != 2:
+        raise ValueError(f"{what} must be a rectangular array of [re, im] pairs")
+    for kind in set(map(type, parts.flat)):
+        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, Real):
+            raise ValueError(f"{what} entries must be JSON numbers, got {kind.__name__}")
+    return parts.astype(float).view(complex)[..., 0]
 
 
-def _vector_from_pairs(pairs):
-    return np.array([_complex_from_pair(p) for p in pairs], dtype=complex)
-
-
-def _pairs_from_vector(vec):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec).reshape(-1)]
+def _encode_complex(values):
+    """A complex array as nested ``[re, im]`` pairs of floats."""
+    return np.stack((values.real, values.imag), -1).tolist()
 
 
 def state_from_json(obj):
@@ -55,29 +63,18 @@ def state_from_json(obj):
     d = _require(obj, "d")
     n = _require(obj, "parties")
     if kind == "pure":
-        return states.PureState(_vector_from_pairs(_require(obj, "amplitudes")), d, n)
+        amp = _decode_complex(_require(obj, "amplitudes"), "amplitudes", 2)
+        return states.PureState(amp, d, n)
     if kind == "ensemble":
         members = []
         for member in _require(obj, "members"):
-            amp = _vector_from_pairs(_require(member, "amplitudes"))
-            members.append((_weight(member), states.PureState(amp, d, n)))
+            amp = _decode_complex(_require(member, "amplitudes"), "amplitudes", 2)
+            members.append((_require(member, "weight"), states.PureState(amp, d, n)))
         return states.from_ensemble(states.Ensemble(members))
     if kind == "matrix":
-        rows = _require(obj, "matrix")
-        mat = np.array(
-            [[_complex_from_pair(entry) for entry in row] for row in rows],
-            dtype=complex,
-        )
+        mat = _decode_complex(_require(obj, "matrix"), "matrix", 3)
         return states.DensityMatrix(mat, d, n)
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-def _weight(member):
-    """An ensemble member's weight, which must be a JSON number (not a bool or a string)."""
-    weight = _require(member, "weight")
-    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-        raise ValueError(f"ensemble weight must be a number, got {weight!r}")
-    return float(weight)
 
 
 def _check_parties(obj, expected):
@@ -101,7 +98,7 @@ def _builtin_state(obj):
         if "x" not in params:
             raise ValueError("builtin 'isotropic_ghz4' needs params.x")
         _check_parties(obj, 4)
-        return states.isotropic_ghz4(float(params["x"]), d)
+        return states.isotropic_ghz4(params["x"], d)
     _check_parties(obj, 4)
     return states.product_max_entangled(d)
 
@@ -113,16 +110,14 @@ def state_to_json(state) -> dict:
             "d": state.local_dim,
             "parties": state.num_parties,
             "kind": "pure",
-            "amplitudes": _pairs_from_vector(state.amplitudes),
+            "amplitudes": _encode_complex(state.amplitudes),
         }
     if isinstance(state, states.DensityMatrix):
         return {
             "d": state.local_dim,
             "parties": state.num_parties,
             "kind": "matrix",
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in state.matrix
-            ],
+            "matrix": _encode_complex(state.matrix),
         }
     raise TypeError(f"cannot serialize {type(state).__name__}")
 

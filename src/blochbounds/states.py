@@ -8,6 +8,8 @@ throughout. All state objects are immutable after validated construction.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from operator import index as _as_index
 
 import numpy as np
@@ -55,6 +57,14 @@ def _check_int(value, what):
         return _as_index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_real(value, what):
+    """``value`` as a float; bools, strings and non-finite numbers are refused."""
+    real = isinstance(value, Real) and not isinstance(value, (bool, np.bool_))
+    if not (real and math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _check_local_dim(local_dim):
@@ -157,21 +167,9 @@ class PureState:
         self.num_parties = n
         self.amplitudes = amp
 
-    @classmethod
-    def _trusted(cls, amp, d, n):
-        """Wrap a vector the library built and already validated in its batch."""
-        psi = cls.__new__(cls)
-        amp.setflags(write=False)
-        psi.local_dim, psi.num_parties, psi.amplitudes = d, n, amp
-        return psi
-
     @property
     def dim(self):
         return self.local_dim**self.num_parties
-
-    def density(self) -> "DensityMatrix":
-        """The rank-one density matrix of this vector."""
-        return from_pure(self)
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product of this vector with another."""
@@ -202,14 +200,6 @@ class DensityMatrix:
         self.num_parties = n
         self.matrix = mat
 
-    @classmethod
-    def _trusted(cls, mat, d, n):
-        """Wrap a matrix the library built and already validated in its batch."""
-        rho = cls.__new__(cls)
-        mat.setflags(write=False)
-        rho.local_dim, rho.num_parties, rho.matrix = d, n, mat
-        return rho
-
     @property
     def dim(self):
         return self.local_dim**self.num_parties
@@ -219,7 +209,7 @@ class Ensemble:
     """A finite mixture of pure states with convex weights summing to one."""
 
     def __init__(self, members, atol=DEFAULT_ATOL):
-        members = tuple((float(w), psi) for w, psi in members)
+        members = tuple((_check_real(w, "ensemble weight"), psi) for w, psi in members)
         if not members:
             raise ValueError("ensemble needs at least one member")
         for weight, psi in members:
@@ -270,7 +260,7 @@ def ghz(d, n) -> PureState:
 
 def isotropic_ghz4(x, d) -> DensityMatrix:
     """Four-party GHZ projector mixed with white noise: ``x P + (1-x) I/d^4``."""
-    x = float(x)
+    x = _check_real(x, "mixing weight")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {x}")
     g = ghz(d, 4).amplitudes

@@ -106,20 +106,18 @@ class SampleSpec:
 
     def draw(self, index) -> DensityMatrix:
         """Sample ``index`` of this spec, the state the sweep checks under that index."""
-        return DensityMatrix._trusted(
+        return DensityMatrix(
             self._draw([sample_seed(self.base_seed, index)])[0],
             self.local_dim,
             self.num_parties,
         )
 
     def _draw(self, seeds) -> np.ndarray:
-        """Validated density matrices of the given per-sample seeds, as one stack."""
+        """Density matrices of the given per-sample seeds, as one unvalidated stack."""
         d, n = self.local_dim, self.num_parties
         if self.kind == PURE_HAAR:
             amps = _haar_amplitudes(d, n, seeds)
-            mats = amps[:, :, None] * amps.conj()[:, None, :]
-            _check_densities(mats)
-            return mats
+            return amps[:, :, None] * amps.conj()[:, None, :]
         return _ginibre_densities(d, n, self.rank or d**n, seeds)
 
 
@@ -166,7 +164,9 @@ class _Chunk:
 
     @cached_property
     def rho(self):
-        return self.spec._draw(self.seeds)
+        rho = self.spec._draw(self.seeds)
+        _check_densities(rho)
+        return rho
 
     @cached_property
     def coeffs(self):
@@ -214,6 +214,7 @@ def _separable_norm(ctx, label):
     """Four-party squared norm of constructed separable mixtures, one per chunk seed."""
     d = ctx.spec.local_dim
     mats = _separable_densities(d, label, ctx.seeds, SEPARABLE_MEMBERS)
+    _check_densities(mats)
     return _subset_norm(_coefficients(mats, d, 4), (1, 2, 3, 4), 4)
 
 

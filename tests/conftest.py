@@ -6,7 +6,8 @@ use plain Python loops, ``kron_bloch_tensor`` builds every full-space
 operator with np.kron and takes plain traces, the ``single_*`` draws read
 one seed's stream at a time with one Box-Muller call per block, and
 ``oracle_sample_value`` evaluates a sweep check on one sample with the
-public single-state functions.
+public single-state functions. ``MALFORMED_COMPLEX_DOCS`` holds state
+documents whose complex entries the parser must refuse.
 """
 
 import itertools
@@ -215,3 +216,10 @@ def oracle_sample_value(spec, name, index):
         rho = random_mixed(d, n, spec.rank or d**n, seed)
     return oracle_check_value(rho, name)
 
+
+#: State documents whose complex entries are not [re, im] pairs of JSON numbers.
+MALFORMED_COMPLEX_DOCS = {
+    "bool": {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[True, False], [False, False]]},
+    "string": {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [["1", "0"], ["0", "0"]]},
+    "ragged": {"d": 2, "parties": 1, "kind": "matrix", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
+}

@@ -277,7 +277,7 @@ def test_tradeoff_per_triple_sums_to_total():
     assert result.sum_sq == total
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), True, "1e-9"])
 def test_non_finite_tolerance_rejected(tol):
     rho = isotropic_ghz4(0.7, 2)
     with pytest.raises(ValueError, match="finite"):

@@ -7,6 +7,7 @@ import pytest
 
 from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix, sample_seed
 from blochbounds.cli import main
+from conftest import MALFORMED_COMPLEX_DOCS
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +362,15 @@ def test_nan_amplitude_state_file_exits_two(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "non-finite" in err and "Eigenvalues" not in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEX_DOCS))
+def test_malformed_complex_entries_in_state_file_exit_two(capsys, tmp_path, case):
+    path = _state_file(tmp_path, json.dumps(MALFORMED_COMPLEX_DOCS[case]))
+    code, out, err = run_cli(capsys, "decompose", "--state", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "JSON numbers" in err or "rectangular array" in err
 
 
 def test_state_and_builtin_are_mutually_exclusive(capsys, tmp_path):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from blochbounds import (
+    MIXED_GINIBRE,
+    PURE_HAAR,
     SEPARABLE_SPLITS,
+    SampleSpec,
     bloch_tensor,
     from_pure,
     haar_random_pure,
@@ -13,6 +16,7 @@ from blochbounds import (
     sample_seed,
     splitmix64,
 )
+from blochbounds import states
 from blochbounds.sampling import (
     _complex_normals,
     _ginibre_densities,
@@ -100,6 +104,43 @@ def test_haar_unitary_properties():
     u = haar_random_unitary(6, seed=9)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
     np.testing.assert_array_equal(u, haar_random_unitary(6, seed=9))
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, "4", 0, -3])
+def test_haar_unitary_rejects_bad_dimensions(dim):
+    with pytest.raises(ValueError, match="dimension"):
+        haar_random_unitary(dim, seed=0)
+
+
+def test_haar_unitary_allows_dimensions_past_the_one_party_cap():
+    # a 100 x 100 unitary is 160 kB; as one party of d = 100 the local operators would not fit
+    u = haar_random_unitary(100, seed=3)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(100), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "draw, expected",
+    [
+        (lambda: haar_random_pure(2, 3, 5), ("_check_amplitudes", (1, 8))),
+        (lambda: random_mixed(2, 3, 4, 5), ("_check_densities", (1, 8, 8))),
+        (lambda: random_separable(2, "2-2", 5), ("_check_densities", (1, 16, 16))),
+        (lambda: SampleSpec(2, 3, PURE_HAAR).draw(4), ("_check_densities", (1, 8, 8))),
+        (lambda: SampleSpec(2, 3, MIXED_GINIBRE).draw(4), ("_check_densities", (1, 8, 8))),
+    ],
+    ids=["haar", "ginibre", "separable", "spec-pure", "spec-mixed"],
+)
+def test_public_draws_validate_once_through_their_constructor(monkeypatch, draw, expected):
+    seen = []
+    for name in ("_check_amplitudes", "_check_densities"):
+        original = getattr(states, name)
+
+        def recording(stack, *args, _original=original, _name=name):
+            seen.append((_name, stack.shape))
+            return _original(stack, *args)
+
+        monkeypatch.setattr(states, name, recording)
+    draw()
+    assert seen == [expected]
 
 
 def test_box_muller_moments():

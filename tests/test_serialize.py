@@ -13,6 +13,7 @@ from blochbounds import (
     state_from_json,
     state_to_json,
 )
+from conftest import MALFORMED_COMPLEX_DOCS
 
 
 def test_pure_round_trip():
@@ -78,6 +79,11 @@ def test_builtin_errors():
         state_from_json(
             {"kind": "builtin", "name": "product_max_entangled", "d": 2, "parties": 3}
         )
+    for x in ("0.7", True):
+        with pytest.raises(ValueError, match="mixing weight"):
+            state_from_json(
+                {"kind": "builtin", "name": "isotropic_ghz4", "d": 2, "params": {"x": x}}
+            )
 
 
 def test_schema_errors():
@@ -91,6 +97,12 @@ def test_schema_errors():
         state_from_json({"d": 2, "parties": 1, "kind": "pure"})
     with pytest.raises(ValueError, match="pairs"):
         state_from_json({"d": 2, "parties": 1, "kind": "pure", "amplitudes": [1.0, 0.0]})
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEX_DOCS))
+def test_complex_entries_must_be_json_number_pairs(case):
+    with pytest.raises(ValueError, match="JSON numbers|rectangular array"):
+        state_from_json(MALFORMED_COMPLEX_DOCS[case])
 
 
 @pytest.mark.parametrize("weight", [True, "1.0", None, [1.0]])

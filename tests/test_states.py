@@ -95,6 +95,11 @@ def test_ensemble_rejects_bad_weights():
         Ensemble([(1.4, ghz(2, 2)), (-0.4, ghz(2, 2))])
     with pytest.raises(ValueError):
         Ensemble([(float("nan"), ghz(2, 2))])
+    for weight in (True, np.bool_(True), "1.0", None):
+        with pytest.raises(ValueError, match="ensemble weight"):
+            Ensemble([(weight, ghz(2, 2))])
+    for weight in (1, np.float32(1.0), np.int64(1)):
+        assert Ensemble([(weight, ghz(2, 2))]).members[0][0] == 1.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
@@ -154,7 +159,7 @@ def test_isotropic_ghz4_half_spectrum():
     np.testing.assert_allclose(eigs, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("x", [-0.1, 1.1])
+@pytest.mark.parametrize("x", [-0.1, 1.1, float("nan"), True, "0.7"])
 def test_isotropic_ghz4_rejects_bad_weight(x):
     with pytest.raises(ValueError):
         isotropic_ghz4(x, 2)
@@ -406,6 +411,7 @@ def test_dense_size_cap_admits_d8_four_parties_and_refuses_d9():
         lambda: random_mixed(1000, 4, 1, seed=0),
         lambda: random_separable(1000, "2-2", seed=0),
         lambda: generate_basis(10**5),
+        lambda: haar_random_unitary(1 << 13, seed=0),
     ],
 )
 def test_oversized_states_are_refused_before_allocation(make):

@@ -88,33 +88,28 @@ def test_nan_observation_fails_its_check(monkeypatch):
 
 def test_sweep_validates_every_state_it_builds(monkeypatch):
     # per chunk: the samples, their marginals and reconstructions, and every
-    # separable member and mixture each pass through a stacked validator once
+    # separable mixture each pass through the stacked validator once, in the
+    # sweep itself; the batch draws in sampling return raw arrays
     from blochbounds import sampling
 
+    assert not hasattr(sampling, "_check_amplitudes")
+    assert not hasattr(sampling, "_check_densities")
     seen = []
-    for module, name in [
-        (sweeps, "_check_densities"),
-        (sampling, "_check_densities"),
-        (sampling, "_check_amplitudes"),
-    ]:
-        original = getattr(module, name)
+    original = sweeps._check_densities
 
-        def recording(stack, *args, _original=original, _name=name):
-            seen.append((_name, stack.shape))
-            return _original(stack, *args)
+    def recording(stack, *args):
+        seen.append(stack.shape)
+        return original(stack, *args)
 
-        monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(sweeps, "_check_densities", recording)
     spec = SampleSpec(2, 4, PURE_HAAR, 5, 41)
     assert sweeps._chunk_size(spec) >= 5
     run_sweep(spec)
-    dens = [shape for name, shape in seen if name == "_check_densities"]
-    amps = [shape for name, shape in seen if name == "_check_amplitudes"]
     # samples, reconstructions and four classes of separable mixtures
-    assert dens.count((5, 16, 16)) == 1 + 1 + 4
+    assert seen.count((5, 16, 16)) == 1 + 1 + 4
     # one-party and three-party marginals for each of the four parties
-    assert dens.count((5, 2, 2)) == 4 and dens.count((5, 8, 8)) == 4
-    # the Haar sample vectors, then the members of each separable class
-    assert amps == [(5, 16)] + [(5 * sampling.SEPARABLE_MEMBERS, 16)] * 4
+    assert seen.count((5, 2, 2)) == 4 and seen.count((5, 8, 8)) == 4
+    assert len(seen) == 6 + 4 + 4
 
 
 def _chunk_counts(spec):
