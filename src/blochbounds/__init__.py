@@ -1,137 +1,22 @@
 """Bloch correlation tensors of few-qudit states: norms, tight bounds,
-separability classification, and a seeded verification harness."""
+separability classification, and a seeded verification harness.
 
-from .basis import GeneratorBasis, generate_basis
-from .bloch import (
-    BlochDecomposition,
-    BlochTensor,
-    all_subsets,
-    bloch_tensor,
-    full_decomposition,
-    norms_by_order,
-    pure_pair_sum_residual,
-    pure_triple_sum_residual,
-    purity_from_decomposition,
-    reconstruct,
-    tensor_norm_sq,
-)
-from .bounds import (
-    CLASS_LABELS,
-    NECESSARY_ONLY_NOTE,
-    BoundTable,
-    ClassificationReport,
-    SeparabilityThresholds,
-    TradeoffResult,
-    ball_radii,
-    bipartite_norm_bound,
-    bound_table,
-    classify,
-    et_bound_audit,
-    et_measure,
-    et_upper_bound,
-    et_upper_bound_via_norm_bound,
-    fourpartite_norm_bound,
-    separability_thresholds,
-    tradeoff_check,
-    triple_sum_bound,
-    tripartite_norm_bound,
-)
-from .sampling import (
-    SEPARABLE_SPLITS,
-    haar_random_pure,
-    haar_random_unitary,
-    random_mixed,
-    random_separable,
-    sample_seed,
-    splitmix64,
-)
-from .serialize import as_density, state_from_json, state_to_json
-from .states import (
-    DensityMatrix,
-    Ensemble,
-    PureState,
-    as_pure,
-    from_ensemble,
-    from_pure,
-    ghz,
-    isotropic_ghz4,
-    partial_trace,
-    product_max_entangled,
-    product_state,
-    purity,
-)
-from .sweeps import (
-    MIXED_GINIBRE,
-    PURE_HAAR,
-    CheckOutcome,
-    SampleSpec,
-    SweepReport,
-    available_checks,
-    run_sweep,
-)
+The package exports exactly the names each module lists in its ``__all__``.
+"""
+
+from . import basis, bloch, bounds, sampling, serialize, states, sweeps
+from .basis import *  # noqa: F403
+from .bloch import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .serialize import *  # noqa: F403
+from .states import *  # noqa: F403
+from .sweeps import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GeneratorBasis",
-    "generate_basis",
-    "BlochDecomposition",
-    "BlochTensor",
-    "all_subsets",
-    "bloch_tensor",
-    "full_decomposition",
-    "norms_by_order",
-    "pure_pair_sum_residual",
-    "pure_triple_sum_residual",
-    "purity_from_decomposition",
-    "reconstruct",
-    "tensor_norm_sq",
-    "CLASS_LABELS",
-    "NECESSARY_ONLY_NOTE",
-    "BoundTable",
-    "ClassificationReport",
-    "SeparabilityThresholds",
-    "TradeoffResult",
-    "ball_radii",
-    "bipartite_norm_bound",
-    "bound_table",
-    "classify",
-    "et_bound_audit",
-    "et_measure",
-    "et_upper_bound",
-    "et_upper_bound_via_norm_bound",
-    "fourpartite_norm_bound",
-    "separability_thresholds",
-    "tradeoff_check",
-    "triple_sum_bound",
-    "tripartite_norm_bound",
-    "SEPARABLE_SPLITS",
-    "haar_random_pure",
-    "haar_random_unitary",
-    "random_mixed",
-    "random_separable",
-    "sample_seed",
-    "splitmix64",
-    "as_density",
-    "state_from_json",
-    "state_to_json",
-    "DensityMatrix",
-    "Ensemble",
-    "PureState",
-    "as_pure",
-    "from_ensemble",
-    "from_pure",
-    "ghz",
-    "isotropic_ghz4",
-    "partial_trace",
-    "product_max_entangled",
-    "product_state",
-    "purity",
-    "MIXED_GINIBRE",
-    "PURE_HAAR",
-    "CheckOutcome",
-    "SampleSpec",
-    "SweepReport",
-    "available_checks",
-    "run_sweep",
+    name
+    for module in (basis, bloch, bounds, sampling, serialize, states, sweeps)
+    for name in module.__all__
 ]

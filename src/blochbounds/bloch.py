@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import generate_basis
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_int
 
 __all__ = [
     "IMAG_RESIDUE_TOL",
@@ -60,7 +60,7 @@ class BlochTensor:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        self.subset = tuple(int(p) for p in self.subset)
+        self.subset = tuple(_check_int(p, "party label") for p in self.subset)
         if not self.subset or list(self.subset) != sorted(set(self.subset)):
             raise ValueError(
                 f"subset must be non-empty, ascending and duplicate-free, got {self.subset}"
@@ -107,7 +107,8 @@ class BlochDecomposition:
                 raise ValueError(f"tensor stored under {subset} is inconsistent")
 
     def tensor(self, subset) -> BlochTensor:
-        return self.tensors[tuple(sorted(int(p) for p in subset))]
+        """The tensor of one party subset, given in any order; ValueError if it is invalid."""
+        return self.tensors[_validated_subset(subset, self.num_parties)]
 
     def subsets(self):
         return sorted(self.tensors, key=lambda s: (len(s), s))
@@ -123,7 +124,7 @@ def all_subsets(num_parties):
 
 def _validated_subset(subset, num_parties):
     raw = tuple(subset)
-    parts = tuple(sorted({int(p) for p in raw}))
+    parts = tuple(sorted({_check_int(p, "party label") for p in raw}))
     if not parts:
         raise ValueError("subset must be non-empty")
     if len(parts) != len(raw):
@@ -162,10 +163,18 @@ def _subset_slice(parts, num_parties):
     )
 
 
+def _squared_norms(stack) -> np.ndarray:
+    """Sum of squares of each array in a stack: shape (B,).
+
+    The one reduction behind every squared tensor norm, single or batched,
+    so that a sweep's value and the single-state value agree bit for bit.
+    """
+    return np.square(stack).reshape(len(stack), -1).sum(axis=1)
+
+
 def _subset_norm(coeffs, subset, n) -> np.ndarray:
     """Squared norm of ``T^(subset)`` for every state of a coefficient stack: shape (B,)."""
-    tensors = coeffs[(slice(None),) + _subset_slice(subset, n)]
-    return np.square(tensors).reshape(len(coeffs), -1).sum(axis=1)
+    return _squared_norms(coeffs[(slice(None),) + _subset_slice(subset, n)])
 
 
 def _subset_norms(coeffs, n) -> dict:
@@ -180,9 +189,7 @@ def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
     state, on this subset or another, carries an imaginary residue above
     ``IMAG_RESIDUE_TOL`` (a non-Hermitian input).
     """
-    parts = _validated_subset(subset, rho.num_parties)
-    coeffs = _coefficients(rho.matrix[None], rho.local_dim, rho.num_parties)[0]
-    return BlochTensor(parts, rho.local_dim, coeffs[_subset_slice(parts, rho.num_parties)])
+    return full_decomposition(rho).tensor(subset)
 
 
 def full_decomposition(rho: DensityMatrix) -> BlochDecomposition:
@@ -195,8 +202,7 @@ def full_decomposition(rho: DensityMatrix) -> BlochDecomposition:
 
 def tensor_norm_sq(tensor: BlochTensor) -> float:
     """Squared Frobenius norm: the sum of squared coefficients."""
-    c = tensor.coefficients
-    return float(np.dot(c, c))
+    return float(_squared_norms(tensor.coefficients[None])[0])
 
 
 def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
@@ -210,7 +216,6 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
     """
     d, n = decomp.local_dim, decomp.num_parties
     coeffs = np.zeros((1,) + (d * d,) * n)
-    coeffs[(0,) * (n + 1)] = 1.0
     for subset, tensor in decomp.tensors.items():
         coeffs[(0,) + _subset_slice(subset, n)] = tensor.as_array()
     return DensityMatrix(_rebuild(coeffs, d, n)[0], d, n)
@@ -219,12 +224,14 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
 def _rebuild(coeffs, d, n) -> np.ndarray:
     """The (B, d^n, d^n) matrices of a coefficient stack: ``_coefficients`` run in reverse.
 
-    The trace entries ``coeffs[b, 0, ..., 0]`` must already be 1.
+    Every state has unit trace, so the trace entries ``coeffs[b, 0, ..., 0]``
+    are taken as 1 whatever ``coeffs`` holds there; ``coeffs`` is not modified.
     """
     weights = np.full(d * d, 0.5)
     weights[0] = 1.0 / d
     basis = _extended_stack(d) * weights[:, None, None]
-    mat = coeffs
+    mat = coeffs.copy()
+    mat[(slice(None),) + (0,) * n] = 1.0
     for _ in range(n):
         # consume the first party index after the stack axis, append its (row, col) digits
         mat = np.tensordot(mat, basis, axes=([1], [0]))

@@ -10,12 +10,11 @@ nothing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bloch import bloch_tensor, full_decomposition, tensor_norm_sq
+from .bloch import _sums_by_order, _tensor_norms, bloch_tensor, full_decomposition, tensor_norm_sq
 from .states import DensityMatrix, PureState, _check_local_dim, _check_real, from_pure
 
 __all__ = [
@@ -130,12 +129,8 @@ class SeparabilityThresholds:
     t1111: float
 
     def as_dict(self) -> dict:
-        return {
-            "1-3": self.t13,
-            "2-2": self.t22,
-            "1-1-2": self.t112,
-            "1-1-1-1": self.t1111,
-        }
+        """Class label -> threshold, in ``CLASS_LABELS`` order."""
+        return dict(zip(CLASS_LABELS, (self.t1111, self.t112, self.t13, self.t22)))
 
     def for_class(self, label: str) -> float:
         try:
@@ -162,9 +157,9 @@ def separability_thresholds(d) -> SeparabilityThresholds:
 class ClassificationReport:
     """Outcome of the four-party norm classification.
 
-    ``margins`` holds the unclipped difference norm - threshold per class;
-    ``excluded`` contains exactly the classes whose margin exceeds the
-    comparison tolerance.
+    ``margins`` holds the unclipped difference norm - threshold per class,
+    in ``CLASS_LABELS`` order; ``excluded`` contains exactly the classes
+    whose margin exceeds the comparison tolerance.
     """
 
     local_dim: int
@@ -188,9 +183,8 @@ def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationR
     tol = _check_real(tol, "comparison tolerance")
     norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
     thresholds = separability_thresholds(rho.local_dim)
-    table = thresholds.as_dict()
-    margins = {label: norm_sq - table[label] for label in CLASS_LABELS}
-    excluded = frozenset(label for label in CLASS_LABELS if margins[label] > tol)
+    margins = {label: norm_sq - cap for label, cap in thresholds.as_dict().items()}
+    excluded = frozenset(label for label, margin in margins.items() if margin > tol)
     return ClassificationReport(rho.local_dim, norm_sq, thresholds, margins, excluded)
 
 
@@ -292,13 +286,8 @@ def tradeoff_check(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> TradeoffR
             f"the trade-off applies to four-party states, got n={rho.num_parties}"
         )
     tol = _check_real(tol, "comparison tolerance")
-    decomp = full_decomposition(rho)
-    per_triple = {
-        triple: tensor_norm_sq(decomp.tensors[triple])
-        for triple in itertools.combinations((1, 2, 3, 4), 3)
-    }
-    total = 0.0
-    for norm_sq in per_triple.values():
-        total += norm_sq
+    norms = _tensor_norms(full_decomposition(rho))
+    per_triple = {triple: norm_sq for triple, norm_sq in norms.items() if len(triple) == 3}
+    total = _sums_by_order(norms, 4)[3]
     bound = triple_sum_bound(rho.local_dim)
     return TradeoffResult(total, bound, total <= bound + tol, per_triple)

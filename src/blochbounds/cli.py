@@ -11,6 +11,7 @@ same values. Exit codes: 0 on success, 1 when a verification sweep fails,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,6 @@ from . import __version__
 from .basis import generate_basis
 from .bloch import bloch_tensor, full_decomposition, tensor_norm_sq
 from .bounds import (
-    CLASS_LABELS,
     COMPARISON_TOL,
     _measure_from_norm_sq,
     bound_table,
@@ -189,11 +189,8 @@ def _cmd_decompose(args):
     if args.dump_state:
         with open(args.dump_state, "w", encoding="utf-8") as handle:
             json.dump(state_to_json(rho), handle)
-    if args.subset:
-        tensors = [bloch_tensor(rho, _parse_subset(args.subset))]
-    else:
-        decomp = full_decomposition(rho)
-        tensors = [decomp.tensors[s] for s in decomp.subsets()]
+    decomp = full_decomposition(rho)
+    subsets = [_parse_subset(args.subset)] if args.subset else decomp.subsets()
     report = {
         "d": rho.local_dim,
         "parties": rho.num_parties,
@@ -204,7 +201,7 @@ def _cmd_decompose(args):
                 "norm_sq": tensor_norm_sq(t),
                 "coefficients": t.coefficients.tolist(),
             }
-            for t in tensors
+            for t in map(decomp.tensor, subsets)
         ],
     }
     return report, 0
@@ -212,7 +209,6 @@ def _cmd_decompose(args):
 
 def _cmd_bounds(args):
     table = bound_table(args.d)
-    thresholds = separability_thresholds(args.d).as_dict()
     inner, outer = table.ball_radii
     audit = et_bound_audit(args.d)
     return {
@@ -222,7 +218,7 @@ def _cmd_bounds(args):
         "fourpartite": table.fourpartite_bound,
         "tradeoff": table.tradeoff_bound,
         "ball_radii": {"inner": inner, "outer": outer},
-        "separability_thresholds": {label: thresholds[label] for label in CLASS_LABELS},
+        "separability_thresholds": separability_thresholds(args.d).as_dict(),
         "measure_upper_bounds": {str(n): audit[n] for n in sorted(audit)},
     }, 0
 
@@ -234,11 +230,9 @@ def _cmd_classify(args):
     return {
         "d": report.local_dim,
         "norm_sq_1234": report.norm_sq_1234,
-        "thresholds": {
-            label: report.thresholds.as_dict()[label] for label in CLASS_LABELS
-        },
-        "margins": {label: report.margins[label] for label in CLASS_LABELS},
-        "excluded": [label for label in CLASS_LABELS if label in report.excluded],
+        "thresholds": report.thresholds.as_dict(),
+        "margins": report.margins,
+        "excluded": [label for label in report.margins if label in report.excluded],
         "note": report.verdict_note,
     }, 0
 
@@ -298,20 +292,7 @@ def _cmd_verify(args):
         "rank": spec.rank,
         "samples": spec.count,
         "seed": spec.base_seed,
-        "checks": [
-            {
-                "name": c.name,
-                "samples": c.samples,
-                "max_observed": c.max_observed,
-                "bound": c.bound,
-                "worst_margin": c.worst_margin,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "worst_index": c.worst_index,
-                "worst_seed": c.worst_seed,
-            }
-            for c in report.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in report.checks],
         "passed": report.passed,
     }
     return payload, 0 if report.passed else 1

@@ -78,8 +78,16 @@ def sample_seed(base_seed: int, index: int) -> int:
     return splitmix64((int(base_seed) + (int(index) + 1) * _GOLDEN) & _MASK64)
 
 
+def _check_seed(seed):
+    """``seed`` as an int key of Philox, in 0..2**64 - 1: the one validator of every seed."""
+    seed = _check_int(seed, "seed")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed}")
+    return seed
+
+
 def _generator(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _box_muller(u1, u2):
@@ -119,7 +127,7 @@ def _haar_amplitudes(d, n, seeds) -> np.ndarray:
 def haar_random_pure(d, n, seed) -> PureState:
     """Haar-distributed pure state: normalized i.i.d. complex Gaussian amplitudes."""
     d, n = _check_dims(d, n)
-    return PureState(_haar_amplitudes(d, n, [seed])[0], d, n)
+    return PureState(_haar_amplitudes(d, n, [_check_seed(seed)])[0], d, n)
 
 
 def _ginibre_densities(d, n, rank, seeds) -> np.ndarray:
@@ -142,7 +150,7 @@ def random_mixed(d, n, rank, seed) -> DensityMatrix:
     rank = _check_int(rank, "rank")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
-    return DensityMatrix(_ginibre_densities(d, n, rank, [seed])[0], d, n)
+    return DensityMatrix(_ginibre_densities(d, n, rank, [_check_seed(seed)])[0], d, n)
 
 
 def haar_random_unitary(dim, seed) -> np.ndarray:
@@ -155,7 +163,7 @@ def haar_random_unitary(dim, seed) -> np.ndarray:
             f"a {dim} x {dim} unitary needs {16 * dim**2} bytes, "
             f"above the cap of {MAX_DENSE_BYTES} bytes"
         )
-    g = _complex_normals([seed], dim * dim).reshape(dim, dim)
+    g = _complex_normals([_check_seed(seed)], dim * dim).reshape(dim, dim)
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
@@ -227,4 +235,4 @@ def random_separable(d, label, seed, members: int = SEPARABLE_MEMBERS) -> Densit
     if _check_int(members, "members") < 1:
         raise ValueError("members must be at least 1")
     d, n = _check_dims(d, 4)
-    return DensityMatrix(_separable_densities(d, label, [seed], members)[0], d, n)
+    return DensityMatrix(_separable_densities(d, label, [_check_seed(seed)], members)[0], d, n)

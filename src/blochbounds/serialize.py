@@ -45,7 +45,10 @@ def _decode_complex(entries, what, ndim):
     for kind in set(map(type, parts.flat)):
         if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, Real):
             raise ValueError(f"{what} entries must be JSON numbers, got {kind.__name__}")
-    return parts.astype(float).view(complex)[..., 0]
+    try:
+        return parts.astype(float).view(complex)[..., 0]
+    except OverflowError:
+        raise ValueError(f"{what} entries must be JSON numbers within float range") from None
 
 
 def _encode_complex(values):

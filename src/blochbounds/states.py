@@ -60,11 +60,16 @@ def _check_int(value, what):
 
 
 def _check_real(value, what):
-    """``value`` as a float; bools, strings and non-finite numbers are refused."""
-    real = isinstance(value, Real) and not isinstance(value, (bool, np.bool_))
-    if not (real and math.isfinite(value)):
-        raise ValueError(f"{what} must be a finite real number, got {value!r}")
-    return float(value)
+    """``value`` as a float; bools, strings, non-finite numbers and integers too large
+    for a float are refused."""
+    if isinstance(value, Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
 def _check_local_dim(local_dim):
@@ -93,14 +98,16 @@ def _check_dims(local_dim, num_parties):
     return d, n
 
 
-def _check_amplitudes(amps, atol=DEFAULT_ATOL):
+def _check_amplitudes(amps):
     """Refuse a (B, dim) stack of state vectors unless every row is finite and normalized."""
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite values (NaN or infinity)")
     norms = np.linalg.norm(amps, axis=-1)
-    bad = np.abs(norms - 1.0) > atol
+    bad = np.abs(norms - 1.0) > DEFAULT_ATOL
     if bad.any():
-        raise ValueError(f"state vector norm {norms[bad.argmax()]!r} is not 1 within {atol}")
+        raise ValueError(
+            f"state vector norm {norms[bad.argmax()]!r} is not 1 within {DEFAULT_ATOL}"
+        )
 
 
 def _purities(mats):
@@ -108,13 +115,13 @@ def _purities(mats):
     return np.einsum("bij,bji->b", mats, mats).real
 
 
-def _check_densities(mats, atol=DEFAULT_ATOL):
+def _check_densities(mats):
     """Validate a (B, dim, dim) stack of density matrices; returns their purities.
 
     Every matrix must be finite, Hermitian, of unit trace, positive
-    semidefinite and of purity in [1/dim, 1], each within ``atol``. Criteria
-    are checked in that order over the whole stack, and the first matrix
-    failing one is refused with its message.
+    semidefinite and of purity in [1/dim, 1], each within ``atol =
+    DEFAULT_ATOL``. Criteria are checked in that order over the whole stack,
+    and the first matrix failing one is refused with its message.
 
     Positivity is gated by a Cholesky factorization of ``H + atol*I``, with
     H the Hermitian part: it succeeds when every eigenvalue of H exceeds
@@ -126,26 +133,26 @@ def _check_densities(mats, atol=DEFAULT_ATOL):
         raise ValueError("matrix contains non-finite entries (NaN or infinity)")
     adjoint = mats.conj().swapaxes(-1, -2)
     herm_dev = np.abs(mats - adjoint).max(axis=(-2, -1))
-    bad = herm_dev > atol
+    bad = herm_dev > DEFAULT_ATOL
     if bad.any():
         raise ValueError(f"matrix deviates from Hermitian by {herm_dev[bad.argmax()]:.3e}")
     traces = np.trace(mats, axis1=-2, axis2=-1)
-    bad = np.abs(traces - 1.0) > atol
+    bad = np.abs(traces - 1.0) > DEFAULT_ATOL
     if bad.any():
-        raise ValueError(f"trace {traces[bad.argmax()]!r} is not 1 within {atol}")
+        raise ValueError(f"trace {traces[bad.argmax()]!r} is not 1 within {DEFAULT_ATOL}")
     herm = 0.5 * (mats + adjoint)
     try:
-        np.linalg.cholesky(herm + atol * np.eye(dim))
+        np.linalg.cholesky(herm + DEFAULT_ATOL * np.eye(dim))
     except np.linalg.LinAlgError:
         smallest = np.linalg.eigvalsh(herm)[:, 0]
-        bad = smallest < -atol
+        bad = smallest < -DEFAULT_ATOL
         if bad.any():
             raise ValueError(
                 "matrix is not positive semidefinite: smallest eigenvalue "
                 f"{smallest[bad.argmax()]:.3e}"
             ) from None
     purities = _purities(mats)
-    bad = ~((1.0 / dim - atol <= purities) & (purities <= 1.0 + atol))
+    bad = ~((1.0 / dim - DEFAULT_ATOL <= purities) & (purities <= 1.0 + DEFAULT_ATOL))
     if bad.any():
         raise ValueError(f"purity {float(purities[bad.argmax()])!r} lies outside [1/{dim}, 1]")
     return purities
@@ -154,14 +161,14 @@ def _check_densities(mats, atol=DEFAULT_ATOL):
 class PureState:
     """A normalized state vector on ``num_parties`` qudits of dimension ``local_dim``."""
 
-    def __init__(self, amplitudes, local_dim, num_parties, atol=DEFAULT_ATOL):
+    def __init__(self, amplitudes, local_dim, num_parties):
         d, n = _check_dims(local_dim, num_parties)
         amp = np.array(amplitudes, dtype=complex).reshape(-1)
         if amp.size != d**n:
             raise ValueError(
                 f"expected {d**n} amplitudes for d={d}, n={n}, got {amp.size}"
             )
-        _check_amplitudes(amp[None], atol)
+        _check_amplitudes(amp[None])
         amp.setflags(write=False)
         self.local_dim = d
         self.num_parties = n
@@ -180,13 +187,13 @@ class DensityMatrix:
     """A validated density matrix on ``num_parties`` qudits of dimension ``local_dim``.
 
     Construction checks Hermiticity, unit trace, positive semidefiniteness
-    (smallest eigenvalue of the Hermitian part at least ``-atol``) and that
-    the purity lies in [1/d^n, 1], each within ``atol``; the checks are
-    those ``_check_densities`` applies to a whole stack. The stored matrix
-    is read-only.
+    (smallest eigenvalue of the Hermitian part at least ``-DEFAULT_ATOL``)
+    and that the purity lies in [1/d^n, 1], each within ``DEFAULT_ATOL``;
+    the checks are those ``_check_densities`` applies to a whole stack. The
+    stored matrix is read-only.
     """
 
-    def __init__(self, matrix, local_dim, num_parties, atol=DEFAULT_ATOL):
+    def __init__(self, matrix, local_dim, num_parties):
         d, n = _check_dims(local_dim, num_parties)
         mat = np.array(matrix, dtype=complex)
         dim = d**n
@@ -194,7 +201,7 @@ class DensityMatrix:
             raise ValueError(
                 f"expected a {dim} x {dim} matrix for d={d}, n={n}, got shape {mat.shape}"
             )
-        _check_densities(mat[None], atol)
+        _check_densities(mat[None])
         mat.setflags(write=False)
         self.local_dim = d
         self.num_parties = n
@@ -208,18 +215,18 @@ class DensityMatrix:
 class Ensemble:
     """A finite mixture of pure states with convex weights summing to one."""
 
-    def __init__(self, members, atol=DEFAULT_ATOL):
+    def __init__(self, members):
         members = tuple((_check_real(w, "ensemble weight"), psi) for w, psi in members)
         if not members:
             raise ValueError("ensemble needs at least one member")
         for weight, psi in members:
             if not isinstance(psi, PureState):
                 raise ValueError("ensemble members must be PureState instances")
-            if not -atol <= weight <= 1.0 + atol:
+            if not -DEFAULT_ATOL <= weight <= 1.0 + DEFAULT_ATOL:
                 raise ValueError(f"weight {weight} lies outside [0, 1]")
         total = sum(w for w, _ in members)
-        if not abs(total - 1.0) <= atol:
-            raise ValueError(f"weights sum to {total!r}, not 1 within {atol}")
+        if not abs(total - 1.0) <= DEFAULT_ATOL:
+            raise ValueError(f"weights sum to {total!r}, not 1 within {DEFAULT_ATOL}")
         d = members[0][1].local_dim
         n = members[0][1].num_parties
         for _, psi in members[1:]:
@@ -292,7 +299,7 @@ def product_state(factors, local_dim) -> PureState:
     party_order = []
     tensors = []
     for parties, amp in factors:
-        parties = tuple(_as_index(p) for p in parties)
+        parties = tuple(_check_int(p, "party label") for p in parties)
         vec = np.asarray(amp, dtype=complex).reshape(-1)
         if vec.size != d ** len(parties):
             raise ValueError(
@@ -318,7 +325,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     of ``keep``. The trace is preserved exactly up to rounding.
     """
     d, n = rho.local_dim, rho.num_parties
-    kept = sorted({_as_index(p) for p in keep})
+    kept = sorted({_check_int(p, "party label") for p in keep})
     if not kept:
         raise ValueError("keep set must be non-empty")
     if kept[0] < 1 or kept[-1] > n:
@@ -347,13 +354,13 @@ def purity(rho: DensityMatrix) -> float:
     return float(_purities(rho.matrix[None])[0])
 
 
-def as_pure(rho: DensityMatrix, atol=DEFAULT_ATOL) -> PureState:
+def as_pure(rho: DensityMatrix) -> PureState:
     """Extract the state vector of a rank-one density matrix.
 
-    Raises ValueError when the purity deviates from 1 by more than ``atol``.
+    Raises ValueError when the purity deviates from 1 by more than ``DEFAULT_ATOL``.
     """
     pur = purity(rho)
-    if abs(pur - 1.0) > atol:
+    if abs(pur - 1.0) > DEFAULT_ATOL:
         raise ValueError(f"state is mixed (purity {pur!r}); expected a pure state")
     _, vecs = np.linalg.eigh(0.5 * (rho.matrix + rho.matrix.conj().T))
     vec = vecs[:, -1]

@@ -37,6 +37,7 @@ from .bounds import (
 )
 from .sampling import (
     SEPARABLE_MEMBERS,
+    _check_seed,
     _ginibre_densities,
     _haar_amplitudes,
     _separable_densities,
@@ -49,7 +50,6 @@ from .states import (
     _check_int,
     _dense_bytes,
     _partial_trace,
-    _purities,
 )
 
 __all__ = [
@@ -95,7 +95,7 @@ class SampleSpec:
             raise ValueError(f"unknown sample kind {self.kind!r}")
         if _check_int(self.count, "count") < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
-        _check_int(self.base_seed, "base seed")
+        _check_seed(self.base_seed)
         d, n = _check_dims(self.local_dim, self.num_parties)
         if self.rank is not None:
             if self.kind == PURE_HAAR:
@@ -156,7 +156,11 @@ class SweepReport:
 
 
 class _Chunk:
-    """A chunk of consecutive samples; its states and their Bloch data are built on first use."""
+    """A chunk of consecutive samples; its states and their Bloch data are built on first use.
+
+    Building ``rho`` validates the stack and keeps the purities the
+    validator returns as ``purities``.
+    """
 
     def __init__(self, spec, seeds):
         self.spec = spec
@@ -165,7 +169,7 @@ class _Chunk:
     @cached_property
     def rho(self):
         rho = self.spec._draw(self.seeds)
-        _check_densities(rho)
+        self.purities = _check_densities(rho)
         return rho
 
     @cached_property
@@ -187,7 +191,8 @@ def _max_order_norm(ctx, size):
 
 def _purity_gap(ctx):
     d, n = ctx.spec.local_dim, ctx.spec.num_parties
-    return np.abs(_purity_from_norms(d, n, ctx.norms) - _purities(ctx.rho))
+    # ctx.norms builds and validates ctx.rho, which sets ctx.purities
+    return np.abs(_purity_from_norms(d, n, ctx.norms) - ctx.purities)
 
 
 def _marginal_purity_gap(ctx):
@@ -203,9 +208,7 @@ def _marginal_purity_gap(ctx):
 
 def _round_trip_error(ctx):
     d, n = ctx.spec.local_dim, ctx.spec.num_parties
-    coeffs = ctx.coeffs.copy()
-    coeffs[(slice(None),) + (0,) * n] = 1.0
-    rebuilt = _rebuild(coeffs, d, n)
+    rebuilt = _rebuild(ctx.coeffs, d, n)
     _check_densities(rebuilt)
     return np.linalg.norm(rebuilt - ctx.rho, axis=(-2, -1))
 

@@ -222,4 +222,5 @@ MALFORMED_COMPLEX_DOCS = {
     "bool": {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[True, False], [False, False]]},
     "string": {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [["1", "0"], ["0", "0"]]},
     "ragged": {"d": 2, "parties": 1, "kind": "matrix", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
+    "huge": {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[10**400, 0], [0, 0]]},
 }

@@ -144,9 +144,13 @@ def test_contract_and_kron_paths_agree(d, n, seed):
 
 def test_invalid_subsets_rejected():
     rho = maximally_mixed(2, 3)
-    for bad in [(), (0,), (4,), (1, 1)]:
+    for bad in [(), (0,), (4,), (1, 1), (1.9, 2), (True, 2), ("1",)]:
         with pytest.raises(ValueError):
             bloch_tensor(rho, bad)
+        with pytest.raises(ValueError):
+            full_decomposition(rho).tensor(bad)
+    with pytest.raises(ValueError, match="party label"):
+        BlochTensor((True, 2.5), 2, np.zeros(9))
 
 
 def test_imaginary_residue_guard():

@@ -237,7 +237,14 @@ def test_verify_refuses_oversized_dimensions_without_allocating(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--samples", "2.5"), ("--samples", "true"), ("--seed", "1.5")]
+    "flag,value",
+    [
+        ("--samples", "2.5"),
+        ("--samples", "true"),
+        ("--seed", "1.5"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+    ],
 )
 def test_verify_non_integer_count_or_seed_exits_two(capsys, flag, value):
     argv = {"--d": "2", "--parties": "2", "--samples": "3", "--seed": "0"}
@@ -248,18 +255,24 @@ def test_verify_non_integer_count_or_seed_exits_two(capsys, flag, value):
 
 
 def test_boolean_ensemble_weight_in_state_file_exits_two(capsys, tmp_path):
-    doc = {
-        "d": 2,
-        "parties": 1,
-        "kind": "ensemble",
-        "members": [{"weight": True, "amplitudes": [[1, 0], [0, 0]]}],
-    }
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "decompose", "--state", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "weight" in err
+    # also weights too large for a float: an ensemble weight and isotropic_ghz4's x
+    docs = [
+        {
+            "d": 2,
+            "parties": 1,
+            "kind": "ensemble",
+            "members": [{"weight": weight, "amplitudes": [[1, 0], [0, 0]]}],
+        }
+        for weight in (True, 10**400)
+    ]
+    docs.append({"kind": "builtin", "name": "isotropic_ghz4", "d": 2, "params": {"x": 10**400}})
+    for doc in docs:
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "decompose", "--state", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "weight" in err
 
 
 def test_verify_exit_one_on_failure(capsys):

@@ -100,6 +100,27 @@ def test_random_mixed_rejects_bad_rank():
         random_mixed(2, 2, 5, seed=1)
 
 
+@pytest.mark.parametrize("seed", [2.7, 2.0, True, "7", -1, 2**64])
+def test_public_draws_reject_bad_seeds(seed):
+    draws = [
+        lambda: haar_random_pure(2, 1, seed),
+        lambda: random_mixed(2, 1, 2, seed),
+        lambda: random_separable(2, "1-3", seed),
+        lambda: haar_random_unitary(2, seed),
+    ]
+    for draw in draws:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw()
+
+
+def test_public_draws_accept_every_64_bit_seed():
+    for seed in (0, 2**64 - 1):
+        assert haar_random_pure(2, 1, seed).dim == 2
+        assert random_mixed(2, 1, 2, seed).dim == 2
+        assert random_separable(2, "1-3", seed).dim == 16
+        assert haar_random_unitary(2, seed).shape == (2, 2)
+
+
 def test_haar_unitary_properties():
     u = haar_random_unitary(6, seed=9)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)

@@ -79,7 +79,7 @@ def test_builtin_errors():
         state_from_json(
             {"kind": "builtin", "name": "product_max_entangled", "d": 2, "parties": 3}
         )
-    for x in ("0.7", True):
+    for x in ("0.7", True, 10**400):
         with pytest.raises(ValueError, match="mixing weight"):
             state_from_json(
                 {"kind": "builtin", "name": "isotropic_ghz4", "d": 2, "params": {"x": x}}
@@ -105,7 +105,7 @@ def test_complex_entries_must_be_json_number_pairs(case):
         state_from_json(MALFORMED_COMPLEX_DOCS[case])
 
 
-@pytest.mark.parametrize("weight", [True, "1.0", None, [1.0]])
+@pytest.mark.parametrize("weight", [True, "1.0", None, [1.0], pytest.param(10**400, id="huge")])
 def test_ensemble_weight_must_be_a_json_number(weight):
     doc = {
         "d": 2,

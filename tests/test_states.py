@@ -204,6 +204,8 @@ def test_product_state_rejects_bad_partitions():
         product_state([((1,), [1, 0]), ((1,), [1, 0])], 2)
     with pytest.raises(ValueError):
         product_state([((1,), [1, 0]), ((3,), [1, 0])], 2)
+    with pytest.raises(ValueError, match="party label"):
+        product_state([((1,), [1, 0]), ((2.0,), [1, 0])], 2)
 
 
 def test_partial_trace_ghz_single_party():
@@ -258,6 +260,9 @@ def test_partial_trace_rejects_bad_subsets():
         partial_trace(rho, (0, 1))
     with pytest.raises(ValueError):
         partial_trace(rho, (4,))
+    for bad in [(1.5,), (True, 2), ("1",)]:
+        with pytest.raises(ValueError, match="party label"):
+            partial_trace(rho, bad)
 
 
 def test_purity_values():
