@@ -55,30 +55,6 @@ class GeneratorBasis:
         """All generators as one read-only (d**2 - 1, d, d) array."""
         return self._stack
 
-    def gram_matrix(self) -> np.ndarray:
-        """Pairwise Hilbert-Schmidt inner products Tr(G_i G_j)."""
-        return np.einsum("iab,jba->ij", self._stack, self._stack).real
-
-    def validate(self, atol: float = 1e-12) -> None:
-        """Check count, Hermiticity, tracelessness and Gram orthogonality.
-
-        Construction is exact; this exists as a single entry point for
-        downstream sanity checks.
-        """
-        d = self.local_dim
-        m = d * d - 1
-        if self._stack.shape != (m, d, d):
-            raise ValueError(f"expected {m} generators of shape ({d}, {d})")
-        herm = np.abs(self._stack - self._stack.conj().transpose(0, 2, 1)).max()
-        if herm > atol:
-            raise ValueError(f"generators deviate from Hermitian by {herm:.3e}")
-        traces = np.abs(self._stack.trace(axis1=1, axis2=2)).max()
-        if traces > atol:
-            raise ValueError(f"generators deviate from traceless by {traces:.3e}")
-        gram_dev = np.abs(self.gram_matrix() - 2.0 * np.eye(m)).max()
-        if gram_dev > atol:
-            raise ValueError(f"Gram matrix deviates from 2*I by {gram_dev:.3e}")
-
 
 def generate_basis(d) -> GeneratorBasis:
     """Build the generator basis for local dimension ``d``.

@@ -6,12 +6,13 @@ and normal variates come from an explicit Box-Muller transform on the
 generator's uniforms. Identical seeds therefore reproduce identical states
 bit for bit, independent of how calls are scheduled.
 
-The draws are batched: each private ``_..._densities`` / ``_haar_amplitudes``
-function takes a sequence of seeds, reads every seed's stream in the same
-order a single draw does, and transforms the whole stack at once into raw
-arrays. They validate nothing: a public single-draw function is the same
-code at one seed, and its state's constructor validates the result, while
-a sweep validates each chunk's stack where it uses it.
+The draws are batched: each private ``_ginibre_densities`` /
+``_haar_amplitudes`` / ``_separable_members`` function takes a sequence of
+seeds, reads every seed's stream in the same order a single draw does, and
+transforms the whole stack at once into raw arrays. They validate nothing:
+a public single-draw function is the same code at one seed, and its
+state's constructor validates the result, while a sweep validates each
+chunk's draw where it draws it.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ SEPARABLE_SPLITS = {
 
 def splitmix64(value: int) -> int:
     """One splitmix64 finalization round of a 64-bit value."""
-    z = (int(value) + _GOLDEN) & _MASK64
+    z = (_check_seed(value, "value") + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -75,14 +76,16 @@ def splitmix64(value: int) -> int:
 
 def sample_seed(base_seed: int, index: int) -> int:
     """Per-sample seed: hash of the base seed advanced by the sample index."""
-    return splitmix64((int(base_seed) + (int(index) + 1) * _GOLDEN) & _MASK64)
+    base_seed = _check_seed(base_seed)
+    index = _check_seed(index, "sample index")
+    return splitmix64((base_seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def _check_seed(seed):
-    """``seed`` as an int key of Philox, in 0..2**64 - 1: the one validator of every seed."""
-    seed = _check_int(seed, "seed")
+def _check_seed(seed, what="seed"):
+    """``seed`` as an int in 0..2**64 - 1, a Philox key: the one validator of every seed."""
+    seed = _check_int(seed, what)
     if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an integer in 0..2**64 - 1, got {seed}")
+        raise ValueError(f"{what} must be an integer in 0..2**64 - 1, got {seed}")
     return seed
 
 
@@ -172,31 +175,34 @@ def haar_random_unitary(dim, seed) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _split_layout(d, label):
-    """Block lengths of one class's members and each split's index permutation.
+    """Block party counts of one class's members, and each split's party order.
 
-    ``perms[s]`` maps every party-order flat index of a four-party product
-    vector to its flat index in the block order of split ``s``, so that
-    ``outer[..., perms[s]]`` reorders a product built block by block.
+    ``orders[s]`` is the axis permutation that takes a four-party array
+    built block by block in split ``s`` (one axis per party) to party
+    order, and ``perms[s]`` is the same permutation on the flat indices of
+    a four-party vector of ``d`` entries per party, so that
+    ``outer[..., perms[s]]`` reorders a product vector built block by block.
     """
     splits = SEPARABLE_SPLITS[label]
-    lengths = tuple(d ** len(block) for block in splits[0])
+    orders = tuple(
+        tuple(map(int, np.argsort([p for block in split for p in block]))) for split in splits
+    )
     block_index = np.arange(d**4).reshape((d,) * 4)
-    perms = np.stack([
-        block_index.transpose(np.argsort([p for block in split for p in block])).reshape(-1)
-        for split in splits
-    ])
+    perms = np.stack([block_index.transpose(order).reshape(-1) for order in orders])
     perms.setflags(write=False)
-    return lengths, perms
+    return tuple(len(block) for block in splits[0]), orders, perms
 
 
-def _separable_densities(d, label, seeds, members) -> np.ndarray:
-    """Separable mixtures, one per seed; see ``random_separable``.
+def _separable_members(d, label, seeds, members):
+    """The members of separable mixtures, one mixture per seed; see ``random_separable``.
 
-    Per seed the stream gives the simplex cuts, then per member the split
-    and the uniforms of its blocks in block order (radii, then angles, per
-    block); the transforms, products and mixtures run on the whole stack.
+    Returns the ``(B, members)`` weights, each member's split index into
+    ``SEPARABLE_SPLITS[label]`` and its normalized block vectors: one
+    ``(B, members, d**k)`` array per block, in block order. Per seed the
+    stream gives the simplex cuts, then per member the split and the
+    uniforms of its blocks in block order (radii, then angles, per block).
     """
-    lengths, perms = _split_layout(d, label)
+    lengths = [d**k for k in _split_layout(d, label)[0]]
     count = len(seeds)
     cuts = np.empty((count, members - 1))
     picks = np.empty((count, members), dtype=np.intp)
@@ -205,7 +211,7 @@ def _separable_densities(d, label, seeds, members) -> np.ndarray:
         rng = _generator(seed)
         cuts[row] = rng.random(members - 1)
         for m in range(members):
-            picks[row, m] = rng.integers(len(perms))
+            picks[row, m] = rng.integers(len(SEPARABLE_SPLITS[label]))
             uniforms[row, m] = rng.random(uniforms.shape[-1])
     weights = np.diff(np.sort(cuts, axis=-1), prepend=0.0, append=1.0, axis=-1)
     blocks = []
@@ -215,11 +221,18 @@ def _separable_densities(d, label, seeds, members) -> np.ndarray:
         block = _box_muller(u1, uniforms[..., start + length : start + 2 * length])
         blocks.append(block / np.linalg.norm(block, axis=-1, keepdims=True))
         start += 2 * length
-    vectors = blocks[0]
-    for block in blocks[1:]:
-        vectors = (vectors[..., :, None] * block[..., None, :]).reshape(count, members, -1)
-    vectors = np.take_along_axis(vectors, perms[picks], axis=-1)
-    return (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
+    return weights, picks, blocks
+
+
+def _check_separable(d, label, seed, members):
+    """``(d, seed, members)`` of one separable draw, validated; see ``random_separable``."""
+    if label not in SEPARABLE_SPLITS:
+        raise ValueError(f"unknown separability class {label!r}")
+    members = _check_int(members, "members")
+    if members < 1:
+        raise ValueError("members must be at least 1")
+    d, _ = _check_dims(d, 4)
+    return d, _check_seed(seed), members
 
 
 def random_separable(d, label, seed, members: int = SEPARABLE_MEMBERS) -> DensityMatrix:
@@ -229,10 +242,14 @@ def random_separable(d, label, seed, members: int = SEPARABLE_MEMBERS) -> Densit
     class (see ``SEPARABLE_SPLITS``) and independent Haar factors on its
     blocks; the mixture weights are uniform on the simplex. The result is a
     genuinely mixed member of the class, not just a pure product state.
+    ``sweeps.separable_tensor`` gives the four-party tensor of the same
+    draw without forming the matrix.
     """
-    if label not in SEPARABLE_SPLITS:
-        raise ValueError(f"unknown separability class {label!r}")
-    if _check_int(members, "members") < 1:
-        raise ValueError("members must be at least 1")
-    d, n = _check_dims(d, 4)
-    return DensityMatrix(_separable_densities(d, label, [_check_seed(seed)], members)[0], d, n)
+    d, seed, members = _check_separable(d, label, seed, members)
+    weights, picks, blocks = _separable_members(d, label, [seed], members)
+    vectors = blocks[0]
+    for block in blocks[1:]:
+        vectors = (vectors[..., :, None] * block[..., None, :]).reshape(1, members, -1)
+    vectors = np.take_along_axis(vectors, _split_layout(d, label)[2][picks], axis=-1)
+    mixture = (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
+    return DensityMatrix(mixture[0], d, 4)

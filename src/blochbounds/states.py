@@ -110,6 +110,25 @@ def _check_amplitudes(amps):
         )
 
 
+def _check_weights(weights):
+    """Refuse a (B, M) stack of mixture weights unless every row lies on the simplex.
+
+    Each weight must be finite and lie in [0, 1], and each row must sum to
+    1, within ``DEFAULT_ATOL``.
+    """
+    if not np.isfinite(weights).all():
+        raise ValueError("weights contain non-finite values (NaN or infinity)")
+    bad = (weights < -DEFAULT_ATOL) | (weights > 1.0 + DEFAULT_ATOL)
+    if bad.any():
+        raise ValueError(f"weight {float(weights[bad][0])} lies outside [0, 1]")
+    totals = weights.sum(axis=-1)
+    bad = np.abs(totals - 1.0) > DEFAULT_ATOL
+    if bad.any():
+        raise ValueError(
+            f"weights sum to {float(totals[bad.argmax()])!r}, not 1 within {DEFAULT_ATOL}"
+        )
+
+
 def _purities(mats):
     """Tr(rho^2) of every matrix in a (B, dim, dim) stack."""
     return np.einsum("bij,bji->b", mats, mats).real
@@ -178,10 +197,6 @@ class PureState:
     def dim(self):
         return self.local_dim**self.num_parties
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product of this vector with another."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 class DensityMatrix:
     """A validated density matrix on ``num_parties`` qudits of dimension ``local_dim``.
@@ -219,14 +234,10 @@ class Ensemble:
         members = tuple((_check_real(w, "ensemble weight"), psi) for w, psi in members)
         if not members:
             raise ValueError("ensemble needs at least one member")
-        for weight, psi in members:
+        for _, psi in members:
             if not isinstance(psi, PureState):
                 raise ValueError("ensemble members must be PureState instances")
-            if not -DEFAULT_ATOL <= weight <= 1.0 + DEFAULT_ATOL:
-                raise ValueError(f"weight {weight} lies outside [0, 1]")
-        total = sum(w for w, _ in members)
-        if not abs(total - 1.0) <= DEFAULT_ATOL:
-            raise ValueError(f"weights sum to {total!r}, not 1 within {DEFAULT_ATOL}")
+        _check_weights(np.array([[w for w, _ in members]]))
         d = members[0][1].local_dim
         n = members[0][1].num_parties
         for _, psi in members[1:]:

@@ -8,6 +8,15 @@ one stack, and each check maps the chunk to one value per sample. All
 reductions are max/all-of, so reports are deterministic for a fixed spec
 regardless of the chunking. A NaN observation makes its check's maximum
 NaN, and a NaN maximum fails the check.
+
+A chunk validates what it draws, once, where it draws it: the sample stack
+goes through ``states._check_densities``, and the members of each
+``separable-*`` class through the amplitude and weight validators. What the
+sweep derives from them (marginals, reconstructions) is measured by its
+check and never validated again: a derived value that breaks shows as a
+failing or NaN check value naming its sample, not as an input error.
+Separable mixtures are never formed as matrices; their four-party tensor
+is assembled from the members' block tensors (``separable_tensor``).
 """
 
 from __future__ import annotations
@@ -19,11 +28,12 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bloch import (
+    BlochTensor,
     _coefficients,
     _pair_rule_residual,
     _purity_from_norms,
     _rebuild,
-    _subset_norm,
+    _squared_norms,
     _subset_norms,
     _sums_by_order,
     _triple_rule_residual,
@@ -37,19 +47,24 @@ from .bounds import (
 )
 from .sampling import (
     SEPARABLE_MEMBERS,
+    _check_separable,
     _check_seed,
     _ginibre_densities,
     _haar_amplitudes,
-    _separable_densities,
+    _separable_members,
+    _split_layout,
     sample_seed,
 )
 from .states import (
     DensityMatrix,
+    _check_amplitudes,
     _check_densities,
     _check_dims,
     _check_int,
+    _check_weights,
     _dense_bytes,
     _partial_trace,
+    _purities,
 )
 
 __all__ = [
@@ -63,6 +78,7 @@ __all__ = [
     "SweepReport",
     "available_checks",
     "run_sweep",
+    "separable_tensor",
 ]
 
 PURE_HAAR = "pure-haar"
@@ -127,8 +143,12 @@ class CheckOutcome:
 
     ``worst_index`` is the first sample attaining ``max_observed`` (the
     first NaN, if any) and ``worst_seed`` its per-sample seed: for a
-    per-sample check ``spec.draw(worst_index)`` replays it, for a
-    ``separable-*`` check ``random_separable(d, label, worst_seed)``.
+    per-sample check ``spec.draw(worst_index)`` replays the state, and for
+    a ``separable-*`` check
+    ``tensor_norm_sq(separable_tensor(d, label, worst_seed))`` replays
+    ``max_observed`` bit for bit. A failed outcome may come from a derived
+    value (a marginal or reconstruction) that broke; it is reported here,
+    never raised.
     """
 
     name: str
@@ -158,8 +178,9 @@ class SweepReport:
 class _Chunk:
     """A chunk of consecutive samples; its states and their Bloch data are built on first use.
 
-    Building ``rho`` validates the stack and keeps the purities the
-    validator returns as ``purities``.
+    Building ``rho`` validates the stack, the one validation of the
+    chunk's samples, and keeps the purities the validator returns as
+    ``purities``. Nothing derived from ``rho`` is validated again.
     """
 
     def __init__(self, spec, seeds):
@@ -196,29 +217,80 @@ def _purity_gap(ctx):
 
 
 def _marginal_purity_gap(ctx):
+    """Largest purity gap between a one-party marginal and its complement.
+
+    The marginals of validated states are measured, not validated: a wrong
+    marginal shows as a gap.
+    """
     d, n = ctx.spec.local_dim, ctx.spec.num_parties
     gap = np.zeros(len(ctx.rho))
     for i in range(1, n + 1):
         rest = tuple(p for p in range(1, n + 1) if p != i)
-        one = _check_densities(_partial_trace(ctx.rho, d, n, (i,)))
-        others = _check_densities(_partial_trace(ctx.rho, d, n, rest))
+        one = _purities(_partial_trace(ctx.rho, d, n, (i,)))
+        others = _purities(_partial_trace(ctx.rho, d, n, rest))
         gap = np.maximum(gap, np.abs(one - others))
     return gap
 
 
 def _round_trip_error(ctx):
+    """Frobenius distance between each rebuilt state and its validated sample.
+
+    The rebuilt matrices are not validated: by Weyl's inequality a result
+    within ``ROUND_TRIP_TOL`` of a state is a state within that distance,
+    and a non-finite one gives NaN, which fails the check.
+    """
     d, n = ctx.spec.local_dim, ctx.spec.num_parties
-    rebuilt = _rebuild(ctx.coeffs, d, n)
-    _check_densities(rebuilt)
-    return np.linalg.norm(rebuilt - ctx.rho, axis=(-2, -1))
+    return np.linalg.norm(_rebuild(ctx.coeffs, d, n) - ctx.rho, axis=(-2, -1))
+
+
+def _separable_tensors(d, label, seeds, members):
+    """Flat ``T^(1234)`` of constructed separable mixtures, one row per seed.
+
+    The members are validated where they are drawn: finite, normalized
+    block vectors and weights on the simplex. A member's tensor is the
+    party-permuted outer product of its blocks' full tensors, so the
+    mixture's tensor is ``sum_s perm_s((A w_s)^T @ B)`` with ``A`` the
+    outer product of all blocks but the last, ``B`` the last block's
+    tensor and ``w_s`` the weights of the members that picked split ``s``.
+    No ``d^4 x d^4`` matrix is formed.
+    """
+    weights, picks, blocks = _separable_members(d, label, seeds, members)
+    _check_weights(weights)
+    parties, orders, _ = _split_layout(d, label)
+    count = len(seeds)
+    tensors = []
+    for k, block in zip(parties, blocks):
+        _check_amplitudes(block.reshape(-1, d**k))
+        projectors = block[..., :, None] * block.conj()[..., None, :]
+        coeffs = _coefficients(projectors, d, k)[(slice(None),) + (slice(1, None),) * k]
+        tensors.append(coeffs.reshape(count, members, -1))
+    head = tensors[0]
+    for tensor in tensors[1:-1]:
+        head = (head[..., :, None] * tensor[..., None, :]).reshape(count, members, -1)
+    total = np.zeros((count,) + (d * d - 1,) * 4)
+    for split, order in enumerate(orders):
+        picked = np.where(picks == split, weights, 0.0)
+        mixed = (head * picked[..., None]).swapaxes(-1, -2) @ tensors[-1]
+        total += mixed.reshape(total.shape).transpose(0, *(1 + axis for axis in order))
+    return total.reshape(count, -1)
+
+
+def separable_tensor(d, label, seed, members: int = SEPARABLE_MEMBERS) -> BlochTensor:
+    """``T^(1234)`` of ``random_separable(d, label, seed, members)``, from its member blocks.
+
+    The same code the ``separable-*`` sweep checks run on a chunk, at one
+    seed: ``tensor_norm_sq(separable_tensor(d, label, worst_seed))`` is
+    such a check's ``max_observed``, bit for bit.
+    """
+    d, seed, members = _check_separable(d, label, seed, members)
+    return BlochTensor((1, 2, 3, 4), d, _separable_tensors(d, label, [seed], members)[0])
 
 
 def _separable_norm(ctx, label):
     """Four-party squared norm of constructed separable mixtures, one per chunk seed."""
-    d = ctx.spec.local_dim
-    mats = _separable_densities(d, label, ctx.seeds, SEPARABLE_MEMBERS)
-    _check_densities(mats)
-    return _subset_norm(_coefficients(mats, d, 4), (1, 2, 3, 4), 4)
+    return _squared_norms(
+        _separable_tensors(ctx.spec.local_dim, label, ctx.seeds, SEPARABLE_MEMBERS)
+    )
 
 
 @dataclass(frozen=True)
@@ -369,7 +441,9 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     a check by name that does not apply raises ValueError. ``tol`` overrides
     every check's own tolerance when given. The ``separable-*`` checks draw
     their own class-constrained mixtures (same count and seed schedule)
-    instead of using the spec's ensemble kind.
+    instead of using the spec's ensemble kind. A drawn sample or member
+    that fails validation raises ValueError; a derived value that breaks
+    fails its check instead.
     """
     if checks is None:
         selected = [check for check in _CHECKS if _applicable(check, spec)]

@@ -6,8 +6,11 @@ use plain Python loops, ``kron_bloch_tensor`` builds every full-space
 operator with np.kron and takes plain traces, the ``single_*`` draws read
 one seed's stream at a time with one Box-Muller call per block, and
 ``oracle_sample_value`` evaluates a sweep check on one sample with the
-public single-state functions. ``MALFORMED_COMPLEX_DOCS`` holds state
-documents whose complex entries the parser must refuse.
+public single-state functions. ``separable_densities`` is the dense route
+of the separable checks: it forms every mixture as a ``d^4 x d^4`` matrix
+from the library's member draw. ``gram_matrix`` and ``validate_basis``
+check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
+holds state documents whose complex entries the parser must refuse.
 """
 
 import itertools
@@ -20,7 +23,6 @@ from blochbounds import (
     PURE_HAAR,
     SEPARABLE_SPLITS,
     Ensemble,
-    bloch_tensor,
     from_ensemble,
     from_pure,
     full_decomposition,
@@ -33,11 +35,12 @@ from blochbounds import (
     purity,
     purity_from_decomposition,
     random_mixed,
-    random_separable,
     reconstruct,
     sample_seed,
+    separable_tensor,
     tensor_norm_sq,
 )
+from blochbounds.sampling import _separable_members, _split_layout
 
 
 def flat_index(digits, d):
@@ -118,6 +121,30 @@ def ghz_norm_sq(d, n):
     ) / d**2
 
 
+def gram_matrix(basis):
+    """Pairwise Hilbert-Schmidt inner products Tr(G_i G_j) of a generator basis."""
+    stack = basis.stacked()
+    return np.einsum("iab,jba->ij", stack, stack).real
+
+
+def validate_basis(basis, atol=1e-12):
+    """Check a basis's count, Hermiticity, tracelessness and Gram orthogonality."""
+    d = basis.local_dim
+    m = d * d - 1
+    stack = basis.stacked()
+    if stack.shape != (m, d, d):
+        raise ValueError(f"expected {m} generators of shape ({d}, {d})")
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max()
+    if herm > atol:
+        raise ValueError(f"generators deviate from Hermitian by {herm:.3e}")
+    traces = np.abs(stack.trace(axis1=1, axis2=2)).max()
+    if traces > atol:
+        raise ValueError(f"generators deviate from traceless by {traces:.3e}")
+    gram_dev = np.abs(gram_matrix(basis) - 2.0 * np.eye(m)).max()
+    if gram_dev > atol:
+        raise ValueError(f"Gram matrix deviates from 2*I by {gram_dev:.3e}")
+
+
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -168,6 +195,20 @@ def single_separable_matrix(d, label, seed, members=8):
     return from_ensemble(Ensemble(list(zip(weights, pures)))).matrix
 
 
+def separable_densities(d, label, seeds, members=8):
+    """The dense separable mixtures of the library's member draw, one per seed.
+
+    Every member's product vector is formed in party order and the
+    weighted projectors are summed into a ``(B, d^4, d^4)`` stack.
+    """
+    weights, picks, blocks = _separable_members(d, label, seeds, members)
+    vectors = blocks[0]
+    for block in blocks[1:]:
+        vectors = (vectors[..., :, None] * block[..., None, :]).reshape(len(seeds), members, -1)
+    vectors = np.take_along_axis(vectors, _split_layout(d, label)[2][picks], axis=-1)
+    return (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
+
+
 def oracle_check_value(rho, name):
     """One sweep check's observed value on one state, from the public single-state functions."""
     d, n = rho.local_dim, rho.num_parties
@@ -198,8 +239,6 @@ def oracle_check_value(rho, name):
         return abs(pure_triple_sum_residual(decomp))
     if name == "reconstruction-round-trip":
         return float(np.linalg.norm(reconstruct(decomp).matrix - rho.matrix))
-    if name.startswith("separable-"):
-        return tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
     raise KeyError(name)
 
 
@@ -208,8 +247,8 @@ def oracle_sample_value(spec, name, index):
     d, n = spec.local_dim, spec.num_parties
     seed = sample_seed(spec.base_seed, index)
     if name.startswith("separable-"):
-        rho = random_separable(d, name[len("separable-"):], seed)
-    elif spec.kind == PURE_HAAR:
+        return tensor_norm_sq(separable_tensor(d, name[len("separable-"):], seed))
+    if spec.kind == PURE_HAAR:
         rho = from_pure(haar_random_pure(d, n, seed))
     else:
         assert spec.kind == MIXED_GINIBRE

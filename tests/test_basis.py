@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochbounds import generate_basis
-from conftest import random_hermitian
+from conftest import gram_matrix, random_hermitian, validate_basis
 
 ATOL = 1e-12
 
@@ -59,13 +59,13 @@ def test_count_hermiticity_trace_orthogonality(d):
 def test_gram_matrix_method(d):
     basis = generate_basis(d)
     np.testing.assert_allclose(
-        basis.gram_matrix(), 2.0 * np.eye(d * d - 1), atol=ATOL
+        gram_matrix(basis), 2.0 * np.eye(d * d - 1), atol=ATOL
     )
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_validate_passes(d):
-    generate_basis(d).validate()
+    validate_basis(generate_basis(d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

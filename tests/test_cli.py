@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix, sample_seed
+from blochbounds import sweeps
 from blochbounds.cli import main
 from conftest import MALFORMED_COMPLEX_DOCS
 
@@ -294,6 +295,50 @@ def test_verify_exit_one_on_failure(capsys):
     )
     assert code == 1
     assert report["passed"] is False
+
+
+def _broken_sample(stack, index, fill):
+    out = stack.copy()
+    out[index] = fill(out[index])
+    return out
+
+
+def _non_psd(mat):
+    # Hermitian and of unit trace, with eigenvalue -0.5
+    out = np.zeros_like(mat)
+    out[0, 0], out[1, 1] = 1.5, -0.5
+    return out
+
+
+@pytest.mark.parametrize(
+    "target,check,fill",
+    [
+        ("_rebuild", "reconstruction-round-trip", _non_psd),
+        ("_rebuild", "reconstruction-round-trip", lambda mat: np.full_like(mat, np.nan)),
+        ("_partial_trace", "marginal-purity", lambda mat: mat + np.eye(len(mat))),
+        ("_partial_trace", "marginal-purity", lambda mat: np.eye(len(mat)) / len(mat)),
+    ],
+    ids=["rebuild-non-psd", "rebuild-nan", "marginal-not-a-state", "marginal-wrong-state"],
+)
+def test_verify_exits_one_when_a_derived_state_breaks(capsys, monkeypatch, target, check, fill):
+    # a broken reconstruction or marginal is a failed check naming its sample, not an input error
+    original = getattr(sweeps, target)
+    bad = 3
+    monkeypatch.setattr(
+        sweeps, target, lambda *args: _broken_sample(original(*args), bad, fill)
+    )
+    argv = ["verify", "--d", "2", "--parties", "3", "--samples", "6", "--seed", "4"]
+    code, report, err = run_json(capsys, *argv, "--checks", check)
+    assert code == 1 and err == ""
+    assert report["passed"] is False
+    (outcome,) = report["checks"]
+    assert outcome["passed"] is False
+    assert not outcome["max_observed"] <= outcome["tolerance"]
+    assert outcome["worst_index"] == bad
+    assert outcome["worst_seed"] == sample_seed(4, bad)
+    code, text, err = run_cli(capsys, *argv, "--checks", check)
+    assert code == 1 and err == ""
+    assert f"worst_index: {bad}" in text
 
 
 def test_verify_rejects_inapplicable_check(capsys):

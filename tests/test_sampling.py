@@ -17,13 +17,13 @@ from blochbounds import (
     splitmix64,
 )
 from blochbounds import states
-from blochbounds.sampling import (
-    _complex_normals,
-    _ginibre_densities,
-    _haar_amplitudes,
-    _separable_densities,
+from blochbounds.sampling import _complex_normals, _ginibre_densities, _haar_amplitudes
+from conftest import (
+    separable_densities,
+    single_ginibre_matrix,
+    single_haar_amplitudes,
+    single_separable_matrix,
 )
-from conftest import single_ginibre_matrix, single_haar_amplitudes, single_separable_matrix
 
 
 def test_splitmix64_reference_vector():
@@ -42,6 +42,33 @@ def test_sample_seeds_are_distinct_and_deterministic():
     assert len(set(seeds)) == 1000
     assert seeds == [sample_seed(99, i) for i in range(1000)]
     assert sample_seed(99, 0) != sample_seed(100, 0)
+
+
+@pytest.mark.parametrize(
+    "hash_, args",
+    [
+        (sample_seed, (2.7, 0)),
+        (sample_seed, (-1, 0)),
+        (sample_seed, (2**64, 0)),
+        (sample_seed, (True, 0)),
+        (sample_seed, (0, 2.5)),
+        (sample_seed, (0, -1)),
+        (sample_seed, (0, 2**64)),
+        (splitmix64, (-1,)),
+        (splitmix64, (2**64,)),
+        (splitmix64, (1.0,)),
+    ],
+    ids=lambda value: getattr(value, "__name__", repr(value)),
+)
+def test_seed_hashes_refuse_what_they_would_alias(hash_, args):
+    # each of these used to be truncated or masked onto another seed's value
+    with pytest.raises(ValueError, match="must be an integer"):
+        hash_(*args)
+
+
+def test_seed_hashes_accept_the_64_bit_range():
+    assert sample_seed(2**64 - 1, 2**64 - 1) == sample_seed(2**64 - 1, 2**64 - 1)
+    assert splitmix64(2**64 - 1) == splitmix64(np.uint64(2**64 - 1))
 
 
 def test_haar_pure_determinism():
@@ -224,7 +251,7 @@ def test_batched_ginibre_draws_are_bit_identical_to_single_draws(d, n, rank):
 @pytest.mark.parametrize("label", sorted(SEPARABLE_SPLITS))
 def test_batched_separable_mixtures_match_member_by_member_assembly(d, label):
     seeds = [sample_seed(7, i) for i in range(5)]
-    batch = _separable_densities(d, label, seeds, 8)
+    batch = separable_densities(d, label, seeds)
     for mat, seed in zip(batch, seeds):
         reference = single_separable_matrix(d, label, seed)
         assert np.abs(mat - reference).max() <= 1e-15

@@ -73,7 +73,7 @@ def test_ensemble_purity_matches_overlap_formula():
     members = [(0.7, ghz(2, 4)), (0.3, PureState([1] + [0] * 15, 2, 4))]
     rho = from_ensemble(Ensemble(members))
     expected = sum(
-        wa * wb * abs(pa.overlap(pb)) ** 2
+        wa * wb * abs(np.vdot(pa.amplitudes, pb.amplitudes)) ** 2
         for wa, pa in members
         for wb, pb in members
     )

@@ -1,18 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 
 from blochbounds import sweeps
 from blochbounds import (
     MIXED_GINIBRE,
     PURE_HAAR,
+    SEPARABLE_MEMBERS,
+    SEPARABLE_SPLITS,
+    DensityMatrix,
     SampleSpec,
     available_checks,
+    bloch_tensor,
     random_separable,
     run_sweep,
     sample_seed,
+    separable_tensor,
+    tensor_norm_sq,
 )
-from conftest import oracle_check_value, oracle_sample_value
+from conftest import oracle_check_value, oracle_sample_value, separable_densities
 
 
 def test_sample_spec_validation():
@@ -89,29 +96,37 @@ def test_nan_observation_fails_its_check(monkeypatch):
 
 
 def test_sweep_validates_every_state_it_builds(monkeypatch):
-    # per chunk: the samples, their marginals and reconstructions, and every
-    # separable mixture each pass through the stacked validator once, in the
-    # sweep itself; the batch draws in sampling return raw arrays
+    # per chunk the sweep validates what it draws, once: the sample stack and
+    # each separable class's members (weights and block vectors). Marginals and
+    # reconstructions are measured by their checks, and no dense separable
+    # mixture is formed: the only d^4 x d^4 stack contracted is the samples
     from blochbounds import sampling
 
     assert not hasattr(sampling, "_check_amplitudes")
     assert not hasattr(sampling, "_check_densities")
     seen = []
-    original = sweeps._check_densities
+    for name in ("_check_densities", "_check_amplitudes", "_check_weights", "_coefficients"):
+        original = getattr(sweeps, name)
 
-    def recording(stack, *args):
-        seen.append(stack.shape)
-        return original(stack, *args)
+        def recording(stack, *args, _original=original, _name=name):
+            seen.append((_name, stack.shape))
+            return _original(stack, *args)
 
-    monkeypatch.setattr(sweeps, "_check_densities", recording)
-    spec = SampleSpec(2, 4, PURE_HAAR, 5, 41)
-    assert sweeps._chunk_size(spec) >= 5
-    run_sweep(spec)
-    # samples, reconstructions and four classes of separable mixtures
-    assert seen.count((5, 16, 16)) == 1 + 1 + 4
-    # one-party and three-party marginals for each of the four parties
-    assert seen.count((5, 2, 2)) == 4 and seen.count((5, 8, 8)) == 4
-    assert len(seen) == 6 + 4 + 4
+        monkeypatch.setattr(sweeps, name, recording)
+    size = sweeps._chunk_size(SampleSpec(2, 4, PURE_HAAR, 1, 0))
+    run_sweep(SampleSpec(2, 4, PURE_HAAR, size + 3, 41))
+
+    def shapes(name):
+        return [shape for seen_name, shape in seen if seen_name == name]
+
+    assert shapes("_check_densities") == [(size, 16, 16), (3, 16, 16)]
+    assert shapes("_check_weights") == [(size, 8)] * 4 + [(3, 8)] * 4
+    # block vectors: 1-3, 2-2, 1-1-2 and 1-1-1-1 members, 8 per mixture
+    blocks = [2, 8, 4, 4, 2, 2, 4, 2, 2, 2, 2]
+    assert shapes("_check_amplitudes") == [(8 * b, dim) for b in (size, 3) for dim in blocks]
+    contracted = shapes("_coefficients")
+    assert [shape for shape in contracted if shape[-1] == 16] == [(size, 16, 16), (3, 16, 16)]
+    assert len(contracted) == 2 * (1 + len(blocks))
 
 
 def _replays(name, observed, expected):
@@ -152,10 +167,9 @@ def test_worst_sample_replays_its_maximum():
     for outcome in report.checks:
         if outcome.name.startswith("separable-"):
             label = outcome.name[len("separable-"):]
-            rho = random_separable(spec.local_dim, label, outcome.worst_seed)
+            value = tensor_norm_sq(separable_tensor(spec.local_dim, label, outcome.worst_seed))
         else:
-            rho = spec.draw(outcome.worst_index)
-        value = oracle_check_value(rho, outcome.name)
+            value = oracle_check_value(spec.draw(outcome.worst_index), outcome.name)
         assert _replays(outcome.name, value, outcome.max_observed), outcome.name
 
 
@@ -248,3 +262,69 @@ def test_round_trip_check_uses_tighter_tolerance():
     report = run_sweep(spec, checks=["reconstruction-round-trip"])
     assert report.outcome("reconstruction-round-trip").tolerance == 1e-10
     assert report.passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("label", sorted(SEPARABLE_SPLITS))
+def test_separable_tensor_matches_the_dense_mixture(d, label):
+    # the block route against the d^4 x d^4 mixtures of the same draw, contracted densely:
+    # the conftest oracle and the public draw
+    seeds = [sample_seed(8, i) for i in range(3)]
+    dense = separable_densities(d, label, seeds)
+    for mat, seed in zip(dense, seeds):
+        tensor = separable_tensor(d, label, seed)
+        assert tensor.subset == (1, 2, 3, 4) and tensor.local_dim == d
+        scale = np.abs(tensor.coefficients).max()
+        for rho in (DensityMatrix(mat, d, 4), random_separable(d, label, seed)):
+            reference = bloch_tensor(rho, (1, 2, 3, 4)).coefficients
+            assert np.abs(tensor.coefficients - reference).max() <= 1e-13 * scale
+
+
+def test_separable_tensor_is_the_batched_row():
+    seeds = [sample_seed(9, i) for i in range(5)]
+    for label in SEPARABLE_SPLITS:
+        rows = sweeps._separable_tensors(3, label, seeds, SEPARABLE_MEMBERS)
+        for row, seed in zip(rows, seeds):
+            np.testing.assert_array_equal(row, separable_tensor(3, label, seed).coefficients)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((2, "3-1", 0), "unknown separability class"),
+        ((2, "1-3", 0, 0), "members must be at least 1"),
+        ((2, "1-3", 0, 2.5), "must be an integer"),
+        ((2, "1-3", -1), "seed must be an integer"),
+        ((2.5, "1-3", 0), "must be an integer"),
+        ((1000, "1-3", 0), "above the cap"),
+    ],
+)
+def test_separable_tensor_rejects_bad_arguments(args, match):
+    with pytest.raises(ValueError, match=match):
+        separable_tensor(*args)
+
+
+@pytest.mark.parametrize(
+    "broken, match",
+    [
+        ("weights", "weights sum to"),
+        ("blocks", "not 1 within"),
+        ("nan", "non-finite"),
+    ],
+)
+def test_separable_members_are_validated_where_drawn(monkeypatch, broken, match):
+    original = sweeps._separable_members
+
+    def drawing(*args):
+        weights, picks, blocks = original(*args)
+        if broken == "weights":
+            weights = 2.0 * weights
+        elif broken == "blocks":
+            blocks = [1.5 * blocks[0]] + blocks[1:]
+        else:
+            blocks = blocks[:-1] + [np.full_like(blocks[-1], np.nan)]
+        return weights, picks, blocks
+
+    monkeypatch.setattr(sweeps, "_separable_members", drawing)
+    with pytest.raises(ValueError, match=match):
+        run_sweep(SampleSpec(2, 4, PURE_HAAR, 3, 0), checks=["separable-2-2"])
