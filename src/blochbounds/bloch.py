@@ -8,10 +8,10 @@ decomposes as
 
     rho = I/d^n + sum_S  Op-sum(S) / (2^|S| d^(n-|S|)),
 
-which makes the full map of 2^n - 1 tensors an exact, invertible encoding.
-Every tensor is a slice of one coefficient array taken over an extended
-local basis (the identity at index 0, then the generators); ``reconstruct``
-runs the same pass in reverse.
+which makes the map an exact, invertible encoding. A decomposition is one
+real array of shape ``(d**2,) * n`` over an extended local basis (the identity
+at index 0, then the generators): entry ``[0, ..., 0]`` is the trace, every
+tensor is a slice, and ``reconstruct`` runs the same pass in reverse.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import generate_basis
-from .states import DensityMatrix, _check_int
+from .states import MAX_PARTIES, DensityMatrix, _check_dims, _check_local_dim, _validated_subset
 
 __all__ = [
     "IMAG_RESIDUE_TOL",
@@ -53,20 +53,20 @@ def _extended_stack(d: int) -> np.ndarray:
 
 @dataclass
 class BlochTensor:
-    """Flat real coefficient array for one party subset."""
+    """Flat real coefficient array for one party subset, given in ascending order."""
 
     subset: tuple
     local_dim: int
     coefficients: np.ndarray
 
     def __post_init__(self):
-        self.subset = tuple(_check_int(p, "party label") for p in self.subset)
-        if not self.subset or list(self.subset) != sorted(set(self.subset)):
-            raise ValueError(
-                f"subset must be non-empty, ascending and duplicate-free, got {self.subset}"
-            )
+        self.local_dim = _check_local_dim(self.local_dim)
+        raw = tuple(self.subset)
+        self.subset = _validated_subset(raw, MAX_PARTIES)
+        if self.subset != raw:
+            raise ValueError(f"subset must be given in ascending order, got {raw}")
         m = self.local_dim**2 - 1
-        coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
+        coeffs = np.asarray(self.coefficients).astype(float, casting="safe").reshape(-1)
         if coeffs.size != m ** len(self.subset):
             raise ValueError(
                 f"expected {m ** len(self.subset)} coefficients for subset "
@@ -87,31 +87,35 @@ class BlochTensor:
 
 @dataclass
 class BlochDecomposition:
-    """Complete map from every non-empty party subset to its tensor."""
+    """All tensors of an n-party state as one read-only real ``(d**2,) * n`` array.
+
+    The array holds ``Tr(rho B_i1 x ... x B_in)`` over the extended basis, so
+    entry ``[0, ..., 0]`` is the trace and ``tensor(S)`` is a slice of it.
+    Construction checks (d, n), the shape and that every entry is finite.
+    """
 
     local_dim: int
     num_parties: int
-    tensors: dict
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        expected = set(all_subsets(self.num_parties))
-        got = set(self.tensors)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ValueError(
-                f"decomposition must cover all non-empty subsets; missing {missing}, extra {extra}"
-            )
-        for subset, tensor in self.tensors.items():
-            if tensor.subset != subset or tensor.local_dim != self.local_dim:
-                raise ValueError(f"tensor stored under {subset} is inconsistent")
+        d, n = _check_dims(self.local_dim, self.num_parties)
+        coeffs = np.asarray(self.coefficients).astype(float, casting="safe")
+        if coeffs.shape != (d * d,) * n:
+            raise ValueError(f"expected coefficients of shape {(d * d,) * n}, got {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients contain non-finite values (NaN or infinity)")
+        coeffs.setflags(write=False)
+        self.local_dim, self.num_parties, self.coefficients = d, n, coeffs
 
     def tensor(self, subset) -> BlochTensor:
         """The tensor of one party subset, given in any order; ValueError if it is invalid."""
-        return self.tensors[_validated_subset(subset, self.num_parties)]
+        parts = _validated_subset(subset, self.num_parties)
+        coeffs = self.coefficients[_subset_slice(parts, self.num_parties)]
+        return BlochTensor(parts, self.local_dim, coeffs)
 
     def subsets(self):
-        return sorted(self.tensors, key=lambda s: (len(s), s))
+        return all_subsets(self.num_parties)
 
 
 def all_subsets(num_parties):
@@ -120,18 +124,6 @@ def all_subsets(num_parties):
     for k in range(1, num_parties + 1):
         out.extend(itertools.combinations(range(1, num_parties + 1), k))
     return out
-
-
-def _validated_subset(subset, num_parties):
-    raw = tuple(subset)
-    parts = tuple(sorted({_check_int(p, "party label") for p in raw}))
-    if not parts:
-        raise ValueError("subset must be non-empty")
-    if len(parts) != len(raw):
-        raise ValueError(f"subset has duplicate parties: {raw}")
-    if parts[0] < 1 or parts[-1] > num_parties:
-        raise ValueError(f"subset {parts} is not contained in 1..{num_parties}")
-    return parts
 
 
 def _coefficients(mats, d, n) -> np.ndarray:
@@ -172,14 +164,9 @@ def _squared_norms(stack) -> np.ndarray:
     return np.square(stack).reshape(len(stack), -1).sum(axis=1)
 
 
-def _subset_norm(coeffs, subset, n) -> np.ndarray:
-    """Squared norm of ``T^(subset)`` for every state of a coefficient stack: shape (B,)."""
-    return _squared_norms(coeffs[(slice(None),) + _subset_slice(subset, n)])
-
-
 def _subset_norms(coeffs, n) -> dict:
-    """``_subset_norm`` of every subset, in ``all_subsets`` order."""
-    return {s: _subset_norm(coeffs, s, n) for s in all_subsets(n)}
+    """Subset -> squared norm of ``T^(subset)`` for each state of a coefficient stack, shape (B,)."""
+    return {s: _squared_norms(coeffs[(slice(None), *_subset_slice(s, n))]) for s in all_subsets(n)}
 
 
 def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
@@ -193,11 +180,9 @@ def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
 
 
 def full_decomposition(rho: DensityMatrix) -> BlochDecomposition:
-    """Tensors for all 2^n - 1 non-empty party subsets of ``rho``, from one pass."""
+    """The coefficient array of ``rho``, holding all 2^n - 1 tensors, from one pass."""
     d, n = rho.local_dim, rho.num_parties
-    coeffs = _coefficients(rho.matrix[None], d, n)[0]
-    tensors = {s: BlochTensor(s, d, coeffs[_subset_slice(s, n)]) for s in all_subsets(n)}
-    return BlochDecomposition(d, n, tensors)
+    return BlochDecomposition(d, n, _coefficients(rho.matrix[None], d, n)[0])
 
 
 def tensor_norm_sq(tensor: BlochTensor) -> float:
@@ -206,19 +191,16 @@ def tensor_norm_sq(tensor: BlochTensor) -> float:
 
 
 def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
-    """Rebuild the density matrix encoded by a complete decomposition.
+    """Rebuild the density matrix encoded by a decomposition's coefficient array.
 
     Runs the extraction pass in reverse: each party's basis is weighted 1/d
     on the identity and 1/2 on the generators, which yields the
     ``1/(2^|S| d^(n-|S|))`` weights. Inverts ``full_decomposition`` exactly
-    up to rounding. Coefficient maps that do not come from a valid state
-    fail the density-matrix validation.
+    up to rounding. Arrays that do not come from a valid state fail the
+    density-matrix validation.
     """
     d, n = decomp.local_dim, decomp.num_parties
-    coeffs = np.zeros((1,) + (d * d,) * n)
-    for subset, tensor in decomp.tensors.items():
-        coeffs[(0,) + _subset_slice(subset, n)] = tensor.as_array()
-    return DensityMatrix(_rebuild(coeffs, d, n)[0], d, n)
+    return DensityMatrix(_rebuild(decomp.coefficients[None], d, n)[0], d, n)
 
 
 def _rebuild(coeffs, d, n) -> np.ndarray:
@@ -239,17 +221,14 @@ def _rebuild(coeffs, d, n) -> np.ndarray:
     return mat.transpose(order).reshape(-1, d**n, d**n)
 
 
-def _tensor_norms(decomp):
-    return {subset: tensor_norm_sq(t) for subset, t in decomp.tensors.items()}
-
-
 def purity_from_decomposition(decomp: BlochDecomposition) -> float:
     """Trace of the squared state evaluated from tensor norms alone.
 
     Orthogonality of the expansion basis gives
     ``Tr(rho^2) = 1/d^n + sum_S ||T_S||^2 / (2^|S| d^(n-|S|))``.
     """
-    return _purity_from_norms(decomp.local_dim, decomp.num_parties, _tensor_norms(decomp))
+    norms = _subset_norms(decomp.coefficients[None], decomp.num_parties)
+    return float(_purity_from_norms(decomp.local_dim, decomp.num_parties, norms)[0])
 
 
 def _purity_from_norms(d, n, norms):
@@ -262,8 +241,10 @@ def _purity_from_norms(d, n, norms):
 
 
 def norms_by_order(decomp: BlochDecomposition) -> dict:
-    """Sum of squared tensor norms grouped by subset size."""
-    return _sums_by_order(_tensor_norms(decomp), decomp.num_parties)
+    """Sum of squared tensor norms grouped by subset size, as the sweep sums them."""
+    n = decomp.num_parties
+    sums = _sums_by_order(_subset_norms(decomp.coefficients[None], n), n)
+    return {k: float(total[0]) for k, total in sums.items()}
 
 
 def _sums_by_order(norms, n) -> dict:

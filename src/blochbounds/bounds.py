@@ -10,11 +10,12 @@ nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bloch import _sums_by_order, _tensor_norms, bloch_tensor, full_decomposition, tensor_norm_sq
+from .bloch import _subset_norms, _sums_by_order, bloch_tensor, full_decomposition, tensor_norm_sq
 from .states import DensityMatrix, PureState, _check_local_dim, _check_real, from_pure
 
 __all__ = [
@@ -51,42 +52,59 @@ NECESSARY_ONLY_NOTE = (
 )
 
 
+def _closed_form(formula):
+    """``formula`` at a checked ``d``; ValueError naming ``d`` if its value is not a finite float."""
+
+    @functools.wraps(formula)
+    def evaluate(d, *args, **kwargs):
+        d = _check_local_dim(d)
+        try:
+            value = formula(d, *args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"d={d} is too large: {formula.__name__} is not a finite float there")
+        return value
+
+    return evaluate
+
+
+@_closed_form
 def ball_radii(d):
     """Inner and outer radii (r, R) of the single-qudit Bloch body.
 
     Every valid Bloch vector has norm at most R = sqrt(2(1 - 1/d)), and
     every vector of norm at most r = sqrt(2/(d(d-1))) yields a valid state.
     """
-    d = _check_local_dim(d)
     return math.sqrt(2.0 / (d * (d - 1))), math.sqrt(2.0 * (1.0 - 1.0 / d))
 
 
+@_closed_form
 def bipartite_norm_bound(d) -> float:
     """Largest possible squared norm of a two-party tensor: 4(d^2 - 1)/d^2."""
-    d = _check_local_dim(d)
     return 4.0 * (d * d - 1) / (d * d)
 
 
+@_closed_form
 def tripartite_norm_bound(d) -> float:
     """Largest possible squared norm of a three-party tensor: (8d^3 - 24d + 16)/d^3."""
-    d = _check_local_dim(d)
     return (8.0 * d**3 - 24.0 * d + 16.0) / d**3
 
 
+@_closed_form
 def fourpartite_norm_bound(d) -> float:
     """Largest possible squared norm of a four-party tensor: 16(d^2 - 1)^2/d^4."""
-    d = _check_local_dim(d)
     return 16.0 * (d * d - 1) ** 2 / d**4
 
 
+@_closed_form
 def triple_sum_bound(d) -> float:
     """Joint cap on the four three-party squared norms of a four-party state.
 
-    The sum over all triples is at most 8(d^2 - 1)^3 / (d^3 (d^2 - 2)), which
-    is strictly tighter than four times the single-triple bound; at d = 2 it
-    forbids all four triple norms from peaking simultaneously.
+    The sum over all triples is at most 8(d^2 - 1)^3 / (d^3 (d^2 - 2)). Only at
+    d = 2 and 3 is that below four times the single-triple bound; from d = 4 on
+    it exceeds that sum (30.13 against 27.0 at d = 4) and adds no constraint.
     """
-    d = _check_local_dim(d)
     return 8.0 * (d * d - 1) ** 3 / (d**3 * (d * d - 2))
 
 
@@ -139,8 +157,8 @@ class SeparabilityThresholds:
             raise ValueError(f"unknown separability class {label!r}") from None
 
 
+@_closed_form
 def separability_thresholds(d) -> SeparabilityThresholds:
-    d = _check_local_dim(d)
     scale = 16.0 / d**4
     return SeparabilityThresholds(
         local_dim=d,
@@ -214,13 +232,13 @@ def _measure_from_norm_sq(d, n, norm_sq):
     return (d**n / 2**n) * math.sqrt(norm_sq) - (d * (d - 1) / 2.0) ** (n / 2.0)
 
 
+@_closed_form
 def et_upper_bound(d, n) -> float:
     """Largest measure value attainable by a pure state, in closed form.
 
     Defined for n = 3 and n = 4:
     ``sqrt(d^3 (d-1)^2 / 8) (sqrt(d+2) - sqrt(d-1))`` and ``d^2 (d-1)/2``.
     """
-    d = _check_local_dim(d)
     if n == 3:
         return math.sqrt(d**3 * (d - 1) ** 2 / 8.0) * (
             math.sqrt(d + 2) - math.sqrt(d - 1)
@@ -230,6 +248,7 @@ def et_upper_bound(d, n) -> float:
     raise ValueError(f"the measure bound is defined for n in (3, 4), got {n}")
 
 
+@_closed_form
 def et_upper_bound_via_norm_bound(d, n) -> float:
     """The same bound obtained by feeding the norm cap through the measure.
 
@@ -238,7 +257,6 @@ def et_upper_bound_via_norm_bound(d, n) -> float:
     for every d; both routes are kept so reports can show the agreement
     instead of asserting it silently.
     """
-    d = _check_local_dim(d)
     if n == 3:
         cap = tripartite_norm_bound(d)
     elif n == 4:
@@ -286,8 +304,8 @@ def tradeoff_check(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> TradeoffR
             f"the trade-off applies to four-party states, got n={rho.num_parties}"
         )
     tol = _check_real(tol, "comparison tolerance")
-    norms = _tensor_norms(full_decomposition(rho))
-    per_triple = {triple: norm_sq for triple, norm_sq in norms.items() if len(triple) == 3}
-    total = _sums_by_order(norms, 4)[3]
+    norms = _subset_norms(full_decomposition(rho).coefficients[None], 4)
+    per_triple = {t: float(norm_sq[0]) for t, norm_sq in norms.items() if len(t) == 3}
+    total = float(_sums_by_order(norms, 4)[3][0])
     bound = triple_sum_bound(rho.local_dim)
     return TradeoffResult(total, bound, total <= bound + tol, per_triple)

@@ -153,7 +153,10 @@ def _resolve_tol(args):
 def _load_state(args):
     if args.state:
         with open(args.state, "r", encoding="utf-8") as handle:
-            return state_from_json(json.load(handle))
+            try:
+                return state_from_json(json.load(handle))
+            except RecursionError:
+                raise _CliError(f"state file {args.state} is nested too deeply") from None
     if args.d is None:
         raise _CliError("--builtin requires --d")
     obj = {"kind": "builtin", "name": args.builtin, "d": args.d, "params": {}}

@@ -79,6 +79,19 @@ def _check_local_dim(local_dim):
     return d
 
 
+def _validated_subset(subset, num_parties):
+    """A non-empty, duplicate-free set of integer party labels in 1..num_parties, ascending."""
+    raw = tuple(subset)
+    parts = tuple(sorted({_check_int(p, "party label") for p in raw}))
+    if not parts:
+        raise ValueError("subset must be non-empty")
+    if len(parts) != len(raw):
+        raise ValueError(f"subset has duplicate parties: {raw}")
+    if parts[0] < 1 or parts[-1] > num_parties:
+        raise ValueError(f"subset {parts} is not contained in 1..{num_parties}")
+    return parts
+
+
 def _check_dims(local_dim, num_parties):
     """The one validator for (d, n).
 
@@ -336,13 +349,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     of ``keep``. The trace is preserved exactly up to rounding.
     """
     d, n = rho.local_dim, rho.num_parties
-    kept = sorted({_check_int(p, "party label") for p in keep})
-    if not kept:
-        raise ValueError("keep set must be non-empty")
-    if kept[0] < 1 or kept[-1] > n:
-        raise ValueError(f"keep parties must lie in 1..{n}, got {kept}")
-    if len(kept) == n:
-        return DensityMatrix(rho.matrix, d, n)
+    kept = _validated_subset(keep, n)
     return DensityMatrix(_partial_trace(rho.matrix[None], d, n, kept)[0], d, len(kept))
 
 

@@ -213,7 +213,7 @@ def oracle_check_value(rho, name):
     """One sweep check's observed value on one state, from the public single-state functions."""
     d, n = rho.local_dim, rho.num_parties
     decomp = full_decomposition(rho)
-    norms = {s: tensor_norm_sq(t) for s, t in decomp.tensors.items()}
+    norms = {s: tensor_norm_sq(decomp.tensor(s)) for s in decomp.subsets()}
     orders = {
         "ball-radius": 1,
         "bipartite-norm-bound": 2,

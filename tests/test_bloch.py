@@ -60,15 +60,15 @@ def test_ghz4_full_norm():
 def test_full_decomposition_subset_count(n, expected):
     rho = maximally_mixed(2, n)
     decomp = full_decomposition(rho)
-    assert len(decomp.tensors) == expected
+    assert len(decomp.subsets()) == expected
 
 
 def test_ghz4_marginal_norms():
     decomp = full_decomposition(from_pure(ghz(2, 4)))
     for single in itertools.combinations(range(1, 5), 1):
-        assert tensor_norm_sq(decomp.tensors[single]) < 1e-12
+        assert tensor_norm_sq(decomp.tensor(single)) < 1e-12
     for pair in itertools.combinations(range(1, 5), 2):
-        assert abs(tensor_norm_sq(decomp.tensors[pair]) - 1.0) < 1e-12
+        assert abs(tensor_norm_sq(decomp.tensor(pair)) - 1.0) < 1e-12
 
 
 def test_isotropic_family_scales_every_tensor():
@@ -77,8 +77,8 @@ def test_isotropic_family_scales_every_tensor():
     clean = full_decomposition(isotropic_ghz4(1.0, 2))
     for subset in all_subsets(4):
         np.testing.assert_allclose(
-            noisy.tensors[subset].coefficients,
-            x * clean.tensors[subset].coefficients,
+            noisy.tensor(subset).coefficients,
+            x * clean.tensor(subset).coefficients,
             atol=1e-12,
         )
 
@@ -135,7 +135,7 @@ def test_contract_and_kron_paths_agree(d, n, seed):
         slow = kron_bloch_tensor(rho.matrix, subset, generators, d, n)
         assert np.abs(slow.imag).max() < 1e-10
         np.testing.assert_allclose(
-            decomp.tensors[subset].as_array(), slow.real, rtol=0, atol=1e-12
+            decomp.tensor(subset).as_array(), slow.real, rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
             bloch_tensor(rho, subset).as_array(), slow.real, rtol=0, atol=1e-12
@@ -178,11 +178,7 @@ def test_marginal_consistency():
 
 def test_reconstruct_zero_decomposition():
     d, n = 2, 3
-    m = d * d - 1
-    tensors = {
-        s: BlochTensor(s, d, np.zeros(m ** len(s))) for s in all_subsets(n)
-    }
-    rho = reconstruct(BlochDecomposition(d, n, tensors))
+    rho = reconstruct(BlochDecomposition(d, n, np.zeros((d * d,) * n)))
     np.testing.assert_allclose(rho.matrix, np.eye(8) / 8, atol=1e-14)
 
 
@@ -204,21 +200,36 @@ def test_round_trip_random_mixed_states():
 
 def test_incomplete_decomposition_rejected():
     d, n = 2, 2
-    tensors = {(1,): BlochTensor((1,), d, np.zeros(3))}
-    with pytest.raises(ValueError, match="missing"):
-        BlochDecomposition(d, n, tensors)
+    for bad in [np.zeros(3), np.zeros((4, 3)), np.zeros((4, 4, 4))]:
+        with pytest.raises(ValueError, match="shape"):
+            BlochDecomposition(d, n, bad)
+    for value in [np.nan, np.inf]:
+        coeffs = np.zeros((4, 4))
+        coeffs[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            BlochDecomposition(d, n, coeffs)
+    for dims in [(1, 2), (True, 2), (2, 0), (2, 5)]:
+        with pytest.raises(ValueError):
+            BlochDecomposition(*dims, np.zeros((4, 4)))
+    # the coefficients are real by definition; a complex array is refused, not truncated
+    with pytest.raises(TypeError):
+        BlochDecomposition(d, n, np.full((4, 4), 0.1j))
 
 
 def test_wrong_length_coefficients_rejected():
     with pytest.raises(ValueError):
         BlochTensor((1, 2), 2, np.zeros(8))
+    with pytest.raises(TypeError):
+        BlochTensor((1,), 2, np.array([0.5j, 0.0, 0.2]))
 
 
 def test_tensor_subset_validation():
-    with pytest.raises(ValueError):
-        BlochTensor((2, 1), 2, np.zeros(9))
-    with pytest.raises(ValueError):
-        BlochTensor((), 2, np.zeros(1))
+    for bad in [(2, 1), (), (0,), (-3,), (99,), (1, 1)]:
+        with pytest.raises(ValueError):
+            BlochTensor(bad, 2, np.zeros(3 ** max(len(bad), 1)))
+    for local_dim in [1, True, 0, 2.0]:
+        with pytest.raises(ValueError, match="local dimension"):
+            BlochTensor((1,), local_dim, [])
 
 
 @pytest.mark.parametrize("d,n,kind", [(2, 3, "mixed"), (3, 3, "pure"), (2, 4, "mixed"), (3, 4, "pure")])
@@ -272,7 +283,7 @@ def test_local_unitary_invariance_of_norms(d, n):
     after = full_decomposition(rotated)
     for subset in all_subsets(n):
         assert abs(
-            tensor_norm_sq(before.tensors[subset]) - tensor_norm_sq(after.tensors[subset])
+            tensor_norm_sq(before.tensor(subset)) - tensor_norm_sq(after.tensor(subset))
         ) < 1e-9
 
 
@@ -308,7 +319,9 @@ def test_inner_ball_vectors_reconstruct_to_valid_states(d, direction, scale):
         norm = 1.0
     inner_radius = np.sqrt(2.0 / (d * (d - 1)))
     vec = vec / norm * inner_radius * scale
-    decomp = BlochDecomposition(d, 1, {(1,): BlochTensor((1,), d, vec)})
+    coeffs = np.zeros(d * d)
+    coeffs[1:] = vec
+    decomp = BlochDecomposition(d, 1, coeffs)
     rho = reconstruct(decomp)  # validation inside proves positivity
     np.testing.assert_allclose(
         bloch_tensor(rho, (1,)).coefficients, vec, atol=1e-12

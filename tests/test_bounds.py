@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -109,6 +110,24 @@ def test_invalid_dimension_rejected():
     for fn in (bound_table, separability_thresholds, ball_radii):
         with pytest.raises(ValueError):
             fn(1)
+    # a d whose closed form leaves float range, by overflow or as an infinite value
+    too_large = [
+        (triple_sum_bound, 10**52),
+        (bound_table, 10**52),
+        (fourpartite_norm_bound, 6 * 10**76),
+        (separability_thresholds, 10**80),
+        (et_bound_audit, 10**80),
+        (tripartite_norm_bound, 3 * 10**102),
+        (bipartite_norm_bound, 7 * 10**153),
+        (ball_radii, 10**160),
+        (partial(et_upper_bound, n=3), 10**62),
+        (partial(et_upper_bound, n=4), 10**103),
+        (partial(et_upper_bound_via_norm_bound, n=3), 3 * 10**102),
+        (partial(et_upper_bound_via_norm_bound, n=4), 6 * 10**76),
+    ]
+    for fn, d in too_large:
+        with pytest.raises(ValueError, match=f"d={d} is too large"):
+            fn(d)
 
 
 def test_classify_noisy_ghz_history():
@@ -288,6 +307,9 @@ def test_non_finite_tolerance_rejected(tol):
 
 def test_tradeoff_bound_value_d3():
     assert abs(triple_sum_bound(3) - 4096 / 189) < 1e-12
+    # the joint cap undercuts four single-triple caps at d = 2 and 3 only
+    for d in range(2, 9):
+        assert (triple_sum_bound(d) < 4 * tripartite_norm_bound(d)) == (d <= 3), d
 
 
 def test_tradeoff_rejects_other_arities():

@@ -372,6 +372,16 @@ def test_error_paths_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", "--state", str(tmp_path / "gone.json"))
     assert code == 2 and err.startswith("error:")
 
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "decompose", "--state", str(deep))
+    assert code == 2 and out == "" and "nested too deeply" in err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    code, out, err = run_cli(capsys, "bounds", "--d", "1" + "0" * 52)
+    assert code == 2 and out == "" and "is too large" in err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     code, _, err = run_cli(capsys, "classify", "--builtin", "ghz", "--d", "2")
     assert code == 2 and err.startswith("error:")
 

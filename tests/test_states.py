@@ -260,6 +260,9 @@ def test_partial_trace_rejects_bad_subsets():
         partial_trace(rho, (0, 1))
     with pytest.raises(ValueError):
         partial_trace(rho, (4,))
+    for dup in [(1, 1), (2, 3, 2)]:
+        with pytest.raises(ValueError, match="duplicate"):
+            partial_trace(rho, dup)
     for bad in [(1.5,), (True, 2), ("1",)]:
         with pytest.raises(ValueError, match="party label"):
             partial_trace(rho, bad)
