@@ -286,7 +286,8 @@ def _cmd_verify(args):
         base_seed=args.seed,
         rank=args.rank,
     )
-    checks = args.checks.split(",") if args.checks else None
+    # an empty --checks is an empty selection, refused by run_sweep, not the default
+    checks = None if args.checks is None else args.checks.split(",") if args.checks else []
     report = run_sweep(spec, checks=checks, tol=_resolve_tol(args))
     payload = {
         "d": spec.local_dim,

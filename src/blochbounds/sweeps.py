@@ -9,12 +9,13 @@ reductions are max/all-of, so reports are deterministic for a fixed spec
 regardless of the chunking. A NaN observation makes its check's maximum
 NaN, and a NaN maximum fails the check.
 
-A chunk validates what it draws, once, where it draws it: the sample stack
-goes through ``states._check_densities``, and the members of each
-``separable-*`` class through the amplitude and weight validators. What the
-sweep derives from them (marginals, reconstructions) is measured by its
-check and never validated again: a derived value that breaks shows as a
-failing or NaN check value naming its sample, not as an input error.
+A chunk validates what it draws, once, where it draws it: the amplitude
+rows of pure samples, the matrices of mixed ones, and the members of the
+``separable-*`` classes (their weights, and their block vectors as one
+stack per block size for all classes). What the sweep derives from them
+(marginals, reconstructions) is measured by its check and never
+validated again: a derived value that breaks shows as a failing or NaN
+check value naming its sample, not as an input error.
 Separable mixtures are never formed as matrices; their four-party tensor
 is assembled from the members' block tensors (``separable_tensor``).
 """
@@ -49,9 +50,10 @@ from .sampling import (
     SEPARABLE_MEMBERS,
     _check_separable,
     _check_seed,
+    _draw_layout,
     _ginibre_densities,
     _haar_amplitudes,
-    _separable_members,
+    _separable_draws,
     _split_layout,
     sample_seed,
 )
@@ -109,8 +111,9 @@ class SampleSpec:
     def __post_init__(self):
         if self.kind not in (PURE_HAAR, MIXED_GINIBRE):
             raise ValueError(f"unknown sample kind {self.kind!r}")
-        if _check_int(self.count, "count") < 1:
-            raise ValueError(f"count must be at least 1, got {self.count}")
+        # sample indices 0..count - 1 must be valid ``sample_seed`` indices
+        if not 1 <= _check_int(self.count, "count") <= 2**64:
+            raise ValueError(f"count must lie in 1..2**64, got {self.count}")
         _check_seed(self.base_seed)
         d, n = _check_dims(self.local_dim, self.num_parties)
         if self.rank is not None:
@@ -132,9 +135,13 @@ class SampleSpec:
         """Density matrices of the given per-sample seeds, as one unvalidated stack."""
         d, n = self.local_dim, self.num_parties
         if self.kind == PURE_HAAR:
-            amps = _haar_amplitudes(d, n, seeds)
-            return amps[:, :, None] * amps.conj()[:, None, :]
+            return _projectors(_haar_amplitudes(d, n, seeds))
         return _ginibre_densities(d, n, self.rank or d**n, seeds)
+
+
+def _projectors(vectors):
+    """``|v><v|`` of every vector of a stack, over its last axis."""
+    return vectors[..., :, None] * vectors.conj()[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -178,19 +185,30 @@ class SweepReport:
 class _Chunk:
     """A chunk of consecutive samples; its states and their Bloch data are built on first use.
 
-    Building ``rho`` validates the stack, the one validation of the
-    chunk's samples, and keeps the purities the validator returns as
-    ``purities``. Nothing derived from ``rho`` is validated again.
+    Building ``rho`` validates what the chunk draws, once: the amplitude
+    rows of a pure-haar chunk (the projectors of valid vectors are valid
+    states), the matrices of a mixed one. It keeps the purities of the
+    stack as ``purities``. Nothing derived from ``rho`` is validated again.
+    ``separable`` holds the four-party tensors of the constructed mixtures
+    of every class in ``labels``, drawn together.
     """
 
-    def __init__(self, spec, seeds):
+    def __init__(self, spec, seeds, labels):
         self.spec = spec
         self.seeds = seeds
+        self.labels = labels
 
     @cached_property
     def rho(self):
-        rho = self.spec._draw(self.seeds)
-        self.purities = _check_densities(rho)
+        d, n = self.spec.local_dim, self.spec.num_parties
+        if self.spec.kind == PURE_HAAR:
+            amps = _haar_amplitudes(d, n, self.seeds)
+            _check_amplitudes(amps)
+            rho = _projectors(amps)
+            self.purities = _purities(rho)
+        else:
+            rho = self.spec._draw(self.seeds)
+            self.purities = _check_densities(rho)
         return rho
 
     @cached_property
@@ -204,6 +222,10 @@ class _Chunk:
     @cached_property
     def order_sums(self):
         return _sums_by_order(self.norms, self.spec.num_parties)
+
+    @cached_property
+    def separable(self):
+        return _separable_tensors(self.spec.local_dim, self.labels, self.seeds, SEPARABLE_MEMBERS)
 
 
 def _max_order_norm(ctx, size):
@@ -243,54 +265,59 @@ def _round_trip_error(ctx):
     return np.linalg.norm(_rebuild(ctx.coeffs, d, n) - ctx.rho, axis=(-2, -1))
 
 
-def _separable_tensors(d, label, seeds, members):
-    """Flat ``T^(1234)`` of constructed separable mixtures, one row per seed.
+def _separable_tensors(d, labels, seeds, members):
+    """Flat ``T^(1234)`` of constructed separable mixtures: class -> one row per seed.
 
-    The members are validated where they are drawn: finite, normalized
-    block vectors and weights on the simplex. A member's tensor is the
-    party-permuted outer product of its blocks' full tensors, so the
-    mixture's tensor is ``sum_s perm_s((A w_s)^T @ B)`` with ``A`` the
-    outer product of all blocks but the last, ``B`` the last block's
-    tensor and ``w_s`` the weights of the members that picked split ``s``.
-    No ``d^4 x d^4`` matrix is formed.
+    The members of all classes in ``labels`` are drawn together and
+    validated where they are drawn, once per stack: their weights (the
+    same for every class) on the simplex, and per block party count ``k``
+    the finite, normalized vectors of every class's k-party blocks, which
+    one ``_coefficients`` pass turns into block tensors. A member's tensor is the party-permuted outer
+    product of its blocks' tensors, so a mixture's tensor is
+    ``sum_s perm_s((A w_s)^T @ B)`` with ``A`` the outer product of all
+    blocks but the last, ``B`` the last block's tensor and ``w_s`` the
+    weights of the members that picked split ``s``. No ``d^4 x d^4``
+    matrix is formed.
     """
-    weights, picks, blocks = _separable_members(d, label, seeds, members)
+    weights, picks, stacks = _separable_draws(d, labels, seeds, members)
     _check_weights(weights)
-    parties, orders, _ = _split_layout(d, label)
     count = len(seeds)
-    tensors = []
-    for k, block in zip(parties, blocks):
-        _check_amplitudes(block.reshape(-1, d**k))
-        projectors = block[..., :, None] * block.conj()[..., None, :]
-        coeffs = _coefficients(projectors, d, k)[(slice(None),) + (slice(1, None),) * k]
-        tensors.append(coeffs.reshape(count, members, -1))
-    head = tensors[0]
-    for tensor in tensors[1:-1]:
-        head = (head[..., :, None] * tensor[..., None, :]).reshape(count, members, -1)
-    total = np.zeros((count,) + (d * d - 1,) * 4)
-    for split, order in enumerate(orders):
-        picked = np.where(picks == split, weights, 0.0)
-        mixed = (head * picked[..., None]).swapaxes(-1, -2) @ tensors[-1]
-        total += mixed.reshape(total.shape).transpose(0, *(1 + axis for axis in order))
-    return total.reshape(count, -1)
+    block_tensors = {}
+    for k, stack in stacks.items():
+        _check_amplitudes(stack.reshape(-1, d**k))
+        coeffs = _coefficients(_projectors(stack), d, k)[(slice(None),) + (slice(1, None),) * k]
+        block_tensors[k] = coeffs.reshape(count, stack.shape[1], -1)
+    slots = _draw_layout(d, labels, members).slots
+    tensors = {}
+    for c, label in enumerate(labels):
+        blocks = [block_tensors[k][:, start : start + members] for k, start in slots[c]]
+        head = blocks[0]
+        for block in blocks[1:-1]:
+            head = (head[..., :, None] * block[..., None, :]).reshape(count, members, -1)
+        total = np.zeros((count,) + (d * d - 1,) * 4)
+        for split, order in enumerate(_split_layout(d, label)[1]):
+            picked = np.where(picks[:, c] == split, weights, 0.0)
+            mixed = (head * picked[..., None]).swapaxes(-1, -2) @ blocks[-1]
+            total += mixed.reshape(total.shape).transpose(0, *(1 + axis for axis in order))
+        tensors[label] = total.reshape(count, -1)
+    return tensors
 
 
 def separable_tensor(d, label, seed, members: int = SEPARABLE_MEMBERS) -> BlochTensor:
     """``T^(1234)`` of ``random_separable(d, label, seed, members)``, from its member blocks.
 
     The same code the ``separable-*`` sweep checks run on a chunk, at one
-    seed: ``tensor_norm_sq(separable_tensor(d, label, worst_seed))`` is
-    such a check's ``max_observed``, bit for bit.
+    seed and one class: ``tensor_norm_sq(separable_tensor(d, label,
+    worst_seed))`` is such a check's ``max_observed``, bit for bit.
     """
     d, seed, members = _check_separable(d, label, seed, members)
-    return BlochTensor((1, 2, 3, 4), d, _separable_tensors(d, label, [seed], members)[0])
+    row = _separable_tensors(d, (label,), [seed], members)[label][0]
+    return BlochTensor((1, 2, 3, 4), d, row)
 
 
 def _separable_norm(ctx, label):
     """Four-party squared norm of constructed separable mixtures, one per chunk seed."""
-    return _squared_norms(
-        _separable_tensors(ctx.spec.local_dim, label, ctx.seeds, SEPARABLE_MEMBERS)
-    )
+    return _squared_norms(ctx.separable[label])
 
 
 @dataclass(frozen=True)
@@ -302,6 +329,7 @@ class _Check:
     tol: float
     evaluate: object  # chunk -> observed value per sample
     bound: object  # spec -> bound the value must stay below
+    separable: str | None = None  # the class whose mixtures the check draws, if any
 
 
 _CHECKS = (
@@ -406,6 +434,7 @@ _CHECKS = (
             bound=lambda spec, label=label: (
                 separability_thresholds(spec.local_dim).for_class(label)
             ),
+            separable=label,
         )
         for label in ("1-3", "2-2", "1-1-2", "1-1-1-1")
     ),
@@ -438,10 +467,11 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     """Evaluate the requested checks on ``spec.count`` seeded samples.
 
     ``checks=None`` selects every check applicable to the spec; requesting
-    a check by name that does not apply raises ValueError. ``tol`` overrides
-    every check's own tolerance when given. The ``separable-*`` checks draw
-    their own class-constrained mixtures (same count and seed schedule)
-    instead of using the spec's ensemble kind. A drawn sample or member
+    no check, a check by name that does not apply or a check twice raises
+    ValueError. ``tol`` overrides every check's own tolerance when given.
+    The ``separable-*`` checks draw their own class-constrained mixtures
+    (same count and seed schedule, all selected classes from one read of
+    each stream) instead of using the spec's ensemble kind. A drawn sample or member
     that fails validation raises ValueError; a derived value that breaks
     fails its check instead.
     """
@@ -460,16 +490,21 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
                     f"check {name!r} does not apply to kind={spec.kind!r}, "
                     f"n={spec.num_parties}"
                 )
+            if check in selected:
+                raise ValueError(f"check {name!r} is requested more than once")
             selected.append(check)
+        if not selected:
+            raise ValueError("no checks requested")
     if not selected:
         raise ValueError("no applicable checks for this sample spec")
+    labels = tuple(check.separable for check in selected if check.separable)
 
     # check name -> (index, value) of its worst sample so far
     worst = {check.name: (0, -math.inf) for check in selected}
     size = _chunk_size(spec)
     for start in range(0, spec.count, size):
         indices = range(start, min(start + size, spec.count))
-        ctx = _Chunk(spec, [sample_seed(spec.base_seed, i) for i in indices])
+        ctx = _Chunk(spec, [sample_seed(spec.base_seed, i) for i in indices], labels)
         for check in selected:
             values = check.evaluate(ctx)
             i = int(np.argmax(values))  # the first NaN, else the first maximum

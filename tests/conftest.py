@@ -4,9 +4,11 @@ These helpers deliberately avoid the library's vectorized code paths so they
 can serve as independent oracles for the same quantities: the loop helpers
 use plain Python loops, ``kron_bloch_tensor`` builds every full-space
 operator with np.kron and takes plain traces, the ``single_*`` draws read
-one seed's stream at a time with one Box-Muller call per block, and
-``oracle_sample_value`` evaluates a sweep check on one sample with the
-public single-state functions. ``separable_densities`` is the dense route
+one seed's stream at a time through ``np.random.Generator`` calls, not by
+decoding its raw words (``single_separable_members`` is the reference of
+the library's batched member decode), and ``oracle_sample_value``
+evaluates a sweep check on one sample with the public single-state
+functions. ``separable_densities`` is the dense route
 of the separable checks: it forms every mixture as a ``d^4 x d^4`` matrix
 from the library's member draw. ``gram_matrix`` and ``validate_basis``
 check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
@@ -193,6 +195,40 @@ def single_separable_matrix(d, label, seed, members=8):
             factors.append((parties, vec / np.linalg.norm(vec)))
         pures.append(product_state(factors, d))
     return from_ensemble(Ensemble(list(zip(weights, pures)))).matrix
+
+
+def single_separable_members(d, label, seeds, members=8):
+    """The members of separable mixtures, read call by call through a ``Generator`` per seed.
+
+    The reference of the library's word-layout decode (``_separable_members``):
+    per seed the stream gives the simplex cuts, then per member
+    ``rng.integers`` for its split and ``rng.random`` for the uniforms of
+    its blocks in block order (radii, then angles, per block). Returns the
+    ``(B, members)`` weights and picks and one ``(B, members, d**k)`` array
+    of normalized vectors per block, in block order.
+    """
+    splits = SEPARABLE_SPLITS[label]
+    lengths = [d ** len(block) for block in splits[0]]
+    count = len(seeds)
+    cuts = np.empty((count, members - 1))
+    picks = np.empty((count, members), dtype=np.intp)
+    uniforms = np.empty((count, members, 2 * sum(lengths)))
+    for row, seed in enumerate(seeds):
+        rng = _philox(seed)
+        cuts[row] = rng.random(members - 1)
+        for m in range(members):
+            picks[row, m] = rng.integers(len(splits))
+            uniforms[row, m] = rng.random(uniforms.shape[-1])
+    weights = np.diff(np.sort(cuts, axis=-1), prepend=0.0, append=1.0, axis=-1)
+    blocks = []
+    start = 0
+    for length in lengths:
+        radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[..., start : start + length]))
+        angle = 2.0 * np.pi * uniforms[..., start + length : start + 2 * length]
+        block = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+        blocks.append(block / np.linalg.norm(block, axis=-1, keepdims=True))
+        start += 2 * length
+    return weights, picks, blocks
 
 
 def separable_densities(d, label, seeds, members=8):

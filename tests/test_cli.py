@@ -396,6 +396,23 @@ def test_error_paths_exit_two(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--checks", "ball-radius,ball-radius"], "requested more than once"),
+        (["--checks", ""], "no checks requested"),
+        (["--samples", "99999999999999999999"], "count must lie in"),
+    ],
+    ids=["duplicate-checks", "empty-checks", "samples-past-2**64"],
+)
+def test_verify_refuses_bad_selections_before_sampling(capsys, extra, message):
+    argv = ["verify", "--d", "2", "--parties", "3", "--samples", "5", "--seed", "1", *extra]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
 def _state_file(tmp_path, text):
     path = tmp_path / "state.json"
     path.write_text(text)

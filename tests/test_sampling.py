@@ -16,13 +16,14 @@ from blochbounds import (
     sample_seed,
     splitmix64,
 )
-from blochbounds import states
+from blochbounds import sampling, states
 from blochbounds.sampling import _complex_normals, _ginibre_densities, _haar_amplitudes
 from conftest import (
     separable_densities,
     single_ginibre_matrix,
     single_haar_amplitudes,
     single_separable_matrix,
+    single_separable_members,
 )
 
 
@@ -256,3 +257,79 @@ def test_batched_separable_mixtures_match_member_by_member_assembly(d, label):
         reference = single_separable_matrix(d, label, seed)
         assert np.abs(mat - reference).max() <= 1e-15
         assert np.abs(random_separable(d, label, seed).matrix - reference).max() <= 1e-15
+
+
+SEPARABLE_SEEDS = [0, 2**64 - 1, sample_seed(3, 0), sample_seed(3, 1), sample_seed(3, 2)]
+
+
+def _assert_members_equal(members_a, members_b):
+    weights_a, picks_a, blocks_a = members_a
+    weights_b, picks_b, blocks_b = members_b
+    np.testing.assert_array_equal(weights_a, weights_b)
+    np.testing.assert_array_equal(picks_a, picks_b)
+    assert len(blocks_a) == len(blocks_b)
+    for block_a, block_b in zip(blocks_a, blocks_b):
+        np.testing.assert_array_equal(block_a, block_b)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3, 8])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_separable_members_decode_the_call_by_call_reads(d, members):
+    # the word-layout decode reads what Generator.random/integers read, bit for bit,
+    # for one class alone and for all four classes drawn from one stream read
+    labels = tuple(SEPARABLE_SPLITS)
+    weights, picks, stacks = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, members)
+    for c, label in enumerate(labels):
+        expected = single_separable_members(d, label, SEPARABLE_SEEDS, members)
+        _assert_members_equal(
+            sampling._separable_members(d, label, SEPARABLE_SEEDS, members), expected
+        )
+        slots = sampling._draw_layout(d, labels, members).slots[c]
+        together = [stacks[k][:, start : start + members] for k, start in slots]
+        _assert_members_equal((weights, picks[:, c], together), expected)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rejected_picks_are_read_again_call_by_call(monkeypatch, d):
+    # a pick that Lemire's rule rejects shifts the rest of its class's stream; force
+    # every (seed, class) onto the call-by-call re-read and get the same arrays
+    lemire_picks, read_members = sampling._lemire_picks, sampling._read_members
+    reads = []
+
+    def rejecting(halves, splits, thresholds):
+        picks, _ = lemire_picks(halves, splits, thresholds)
+        return np.full_like(picks, -1), np.ones(picks.shape, dtype=bool)
+
+    def reading(d, label, seed, members):
+        reads.append((label, seed))
+        return read_members(d, label, seed, members)
+
+    monkeypatch.setattr(sampling, "_lemire_picks", rejecting)
+    monkeypatch.setattr(sampling, "_read_members", reading)
+    labels = tuple(SEPARABLE_SPLITS)
+    weights, picks, stacks = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, 8)
+    assert sorted(reads) == sorted((label, seed) for label in labels for seed in SEPARABLE_SEEDS)
+    for c, label in enumerate(labels):
+        slots = sampling._draw_layout(d, labels, 8).slots[c]
+        _assert_members_equal(
+            (weights, picks[:, c], [stacks[k][:, start : start + 8] for k, start in slots]),
+            single_separable_members(d, label, SEPARABLE_SEEDS, 8),
+        )
+
+
+def test_lemire_rejects_exactly_below_its_threshold():
+    # numpy redraws a half h when the low 32 bits of h * k fall below (2**32 - k) % k:
+    # 3 and 6 splits have thresholds 1 and 4, and 1 or 4 splits never reject
+    layout = sampling._draw_layout(2, ("1-3", "2-2", "1-1-2", "1-1-1-1"), 8)
+    assert layout.splits.ravel().tolist() == [4, 3, 6, 1]
+    assert layout.thresholds.ravel().tolist() == [0, 1, 4, 0]
+    halves = np.array([0, 1, 2**32 - 1, 715827882, 715827883], dtype=np.uint64)
+    for splits, threshold in ((1, 0), (3, 1), (4, 0), (6, 4)):
+        assert (2**32 - splits) % splits == threshold
+        picks, rejected = sampling._lemire_picks(
+            halves, np.uint64(splits), np.uint64(threshold)
+        )
+        scaled = [int(h) * splits for h in halves]
+        assert picks.tolist() == [value >> 32 for value in scaled]
+        assert rejected.tolist() == [value % 2**32 < threshold for value in scaled]
+        assert rejected[0] == (threshold > 0)

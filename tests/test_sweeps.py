@@ -96,10 +96,11 @@ def test_nan_observation_fails_its_check(monkeypatch):
 
 
 def test_sweep_validates_every_state_it_builds(monkeypatch):
-    # per chunk the sweep validates what it draws, once: the sample stack and
-    # each separable class's members (weights and block vectors). Marginals and
-    # reconstructions are measured by their checks, and no dense separable
-    # mixture is formed: the only d^4 x d^4 stack contracted is the samples
+    # per chunk the sweep validates what it draws, once: the pure samples' amplitude
+    # rows (or the mixed samples' matrices) and the separable members of all four
+    # classes (the weights they share, and their block vectors as one stack per
+    # block size). Marginals and reconstructions are measured by their checks, and no dense
+    # separable mixture is formed: the only d^4 x d^4 stack contracted is the samples
     from blochbounds import sampling
 
     assert not hasattr(sampling, "_check_amplitudes")
@@ -113,20 +114,35 @@ def test_sweep_validates_every_state_it_builds(monkeypatch):
             return _original(stack, *args)
 
         monkeypatch.setattr(sweeps, name, recording)
-    size = sweeps._chunk_size(SampleSpec(2, 4, PURE_HAAR, 1, 0))
-    run_sweep(SampleSpec(2, 4, PURE_HAAR, size + 3, 41))
 
     def shapes(name):
         return [shape for seen_name, shape in seen if seen_name == name]
 
-    assert shapes("_check_densities") == [(size, 16, 16), (3, 16, 16)]
-    assert shapes("_check_weights") == [(size, 8)] * 4 + [(3, 8)] * 4
-    # block vectors: 1-3, 2-2, 1-1-2 and 1-1-1-1 members, 8 per mixture
-    blocks = [2, 8, 4, 4, 2, 2, 4, 2, 2, 2, 2]
-    assert shapes("_check_amplitudes") == [(8 * b, dim) for b in (size, 3) for dim in blocks]
+    size = sweeps._chunk_size(SampleSpec(2, 4, PURE_HAAR, 1, 0))
+    # 8 members of each class: k-party blocks per member summed over the four classes
+    rows = {k: 8 * sum(
+        [len(block) for block in splits[0]].count(k) for splits in SEPARABLE_SPLITS.values()
+    ) for k in (1, 2, 3)}
+    assert rows == {1: 56, 2: 24, 3: 8}
+    run_sweep(SampleSpec(2, 4, PURE_HAAR, size + 3, 41))
+    assert shapes("_check_densities") == []
+    assert shapes("_check_weights") == [(size, 8), (3, 8)]
+    assert shapes("_check_amplitudes") == [
+        shape
+        for b in (size, 3)
+        for shape in [(b, 16)] + [(b * rows[k], 2**k) for k in (1, 2, 3)]
+    ]
     contracted = shapes("_coefficients")
     assert [shape for shape in contracted if shape[-1] == 16] == [(size, 16, 16), (3, 16, 16)]
-    assert len(contracted) == 2 * (1 + len(blocks))
+    assert len(contracted) == 2 * (1 + len(rows))
+
+    seen.clear()
+    run_sweep(SampleSpec(2, 4, MIXED_GINIBRE, size + 3, 41))
+    assert shapes("_check_densities") == [(size, 16, 16), (3, 16, 16)]
+    assert shapes("_check_weights") == [(size, 8), (3, 8)]
+    assert shapes("_check_amplitudes") == [
+        (b * rows[k], 2**k) for b in (size, 3) for k in (1, 2, 3)
+    ]
 
 
 def _replays(name, observed, expected):
@@ -194,6 +210,33 @@ def test_unknown_or_inapplicable_checks_rejected():
     mixed = SampleSpec(2, 3, MIXED_GINIBRE, 5, 0)
     with pytest.raises(ValueError, match="does not apply"):
         run_sweep(mixed, checks=["marginal-purity"])
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [
+        ["ball-radius", "ball-radius"],
+        ["ball-radius", "purity-identity", "ball-radius"],
+        iter(["purity-identity", "purity-identity"]),
+    ],
+)
+def test_duplicate_checks_rejected(checks):
+    # a repeated check used to be evaluated and reported twice
+    with pytest.raises(ValueError, match="requested more than once"):
+        run_sweep(SampleSpec(2, 3, PURE_HAAR, 5, 0), checks=checks)
+
+
+def test_empty_check_selection_has_its_own_message():
+    with pytest.raises(ValueError, match="^no checks requested$"):
+        run_sweep(SampleSpec(2, 3, PURE_HAAR, 5, 0), checks=[])
+
+
+def test_sample_spec_refuses_counts_past_the_seed_indices():
+    # sample indices 0..count - 1 must be valid sample_seed indices; refused when built
+    assert SampleSpec(2, 2, PURE_HAAR, 2**64, 0).count == 2**64
+    for count in (2**64 + 1, 10**20):
+        with pytest.raises(ValueError, match=r"count must lie in 1\.\.2\*\*64"):
+            SampleSpec(2, 2, PURE_HAAR, count, 0)
 
 
 def test_sweep_determinism():
@@ -281,9 +324,10 @@ def test_separable_tensor_matches_the_dense_mixture(d, label):
 
 
 def test_separable_tensor_is_the_batched_row():
+    # the sweep draws all four classes of a chunk together; each row replays alone
     seeds = [sample_seed(9, i) for i in range(5)]
-    for label in SEPARABLE_SPLITS:
-        rows = sweeps._separable_tensors(3, label, seeds, SEPARABLE_MEMBERS)
+    tensors = sweeps._separable_tensors(3, tuple(SEPARABLE_SPLITS), seeds, SEPARABLE_MEMBERS)
+    for label, rows in tensors.items():
         for row, seed in zip(rows, seeds):
             np.testing.assert_array_equal(row, separable_tensor(3, label, seed).coefficients)
 
@@ -313,18 +357,20 @@ def test_separable_tensor_rejects_bad_arguments(args, match):
     ],
 )
 def test_separable_members_are_validated_where_drawn(monkeypatch, broken, match):
-    original = sweeps._separable_members
+    original = sweeps._separable_draws
 
     def drawing(*args):
-        weights, picks, blocks = original(*args)
+        weights, picks, stacks = original(*args)
         if broken == "weights":
             weights = 2.0 * weights
         elif broken == "blocks":
-            blocks = [1.5 * blocks[0]] + blocks[1:]
+            first = min(stacks)
+            stacks = {**stacks, first: 1.5 * stacks[first]}
         else:
-            blocks = blocks[:-1] + [np.full_like(blocks[-1], np.nan)]
-        return weights, picks, blocks
+            last = max(stacks)
+            stacks = {**stacks, last: np.full_like(stacks[last], np.nan)}
+        return weights, picks, stacks
 
-    monkeypatch.setattr(sweeps, "_separable_members", drawing)
+    monkeypatch.setattr(sweeps, "_separable_draws", drawing)
     with pytest.raises(ValueError, match=match):
         run_sweep(SampleSpec(2, 4, PURE_HAAR, 3, 0), checks=["separable-2-2"])
