@@ -62,7 +62,9 @@ def _build_parser():
         "--subset", help="restrict to one party subset, e.g. 1,2,4 (default: all)"
     )
     decompose.add_argument(
-        "--dump-state", metavar="FILE", help="also write the validated state as matrix-kind JSON"
+        "--dump-state",
+        metavar="FILE",
+        help="on success, also write the validated state as matrix-kind JSON",
     )
     _format_argument(decompose)
     decompose.set_defaults(handler=_cmd_decompose)
@@ -189,11 +191,15 @@ def _cmd_basis(args):
 
 def _cmd_decompose(args):
     rho = as_density(_load_state(args))
-    if args.dump_state:
-        with open(args.dump_state, "w", encoding="utf-8") as handle:
-            json.dump(state_to_json(rho), handle)
     decomp = full_decomposition(rho)
     subsets = [_parse_subset(args.subset)] if args.subset else decomp.subsets()
+    tensors = list(map(decomp.tensor, subsets))
+    # Written once nothing can refuse the input, so a refused input leaves no file, and
+    # before the coefficient lists are built, so they and the dump text never coexist.
+    if args.dump_state:
+        text = json.dumps(state_to_json(rho))
+        with open(args.dump_state, "w", encoding="utf-8") as handle:
+            handle.write(text)
     report = {
         "d": rho.local_dim,
         "parties": rho.num_parties,
@@ -204,7 +210,7 @@ def _cmd_decompose(args):
                 "norm_sq": tensor_norm_sq(t),
                 "coefficients": t.coefficients.tolist(),
             }
-            for t in map(decomp.tensor, subsets)
+            for t in tensors
         ],
     }
     return report, 0
@@ -302,6 +308,34 @@ def _cmd_verify(args):
     return payload, 0 if report.passed else 1
 
 
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _dumps(value, pad="\n"):
+    """``json.dumps(value, indent=2)`` byte for byte, encoded by the stdlib's C encoder.
+
+    The stdlib encodes with ``indent`` in pure Python; only a one-shot
+    ``json.dumps`` without it reaches the C encoder. So each non-empty list
+    of plain ints and floats is one C call whose ``", "`` separators become
+    the indented line breaks (a number's repr never contains ``", "``), and
+    every other item keeps the stdlib's own encoding. ``pad`` is the line
+    break and indentation before ``value``'s closing bracket. Keys are strings.
+    """
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _PLAIN_NUMBERS:
+            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_dumps(item, inner) for item in value)
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict) and value:
+        body = ("," + inner).join(
+            json.dumps(key) + ": " + _dumps(item, inner) for key, item in value.items()
+        )
+        return "{" + inner + body + pad + "}"
+    return json.dumps(value)
+
+
 def _inline(value):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -359,7 +393,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     else:
         print("\n".join(_render_text(report)))
     return code

@@ -69,8 +69,11 @@ def state_from_json(obj):
         amp = _decode_complex(_require(obj, "amplitudes"), "amplitudes", 2)
         return states.PureState(amp, d, n)
     if kind == "ensemble":
+        entries = _require(obj, "members")
+        if not isinstance(entries, list) or not all(isinstance(m, dict) for m in entries):
+            raise ValueError("ensemble members must be an array of objects")
         members = []
-        for member in _require(obj, "members"):
+        for member in entries:
             amp = _decode_complex(_require(member, "amplitudes"), "amplitudes", 2)
             members.append((_require(member, "weight"), states.PureState(amp, d, n)))
         return states.from_ensemble(states.Ensemble(members))
@@ -90,7 +93,9 @@ def _builtin_state(obj):
     name = _require(obj, "name")
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
-    params = obj.get("params") or {}
+    params = {} if obj.get("params") is None else obj["params"]
+    if not isinstance(params, dict):
+        raise ValueError("builtin params must be a JSON object")
     d = _require(obj, "d")
     if name == "ghz":
         n = obj.get("parties", params.get("parties"))

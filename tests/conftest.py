@@ -12,7 +12,8 @@ functions. ``separable_densities`` is the dense route
 of the separable checks: it forms every mixture as a ``d^4 x d^4`` matrix
 from the library's member draw. ``gram_matrix`` and ``validate_basis``
 check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
-holds state documents whose complex entries the parser must refuse.
+holds state documents whose complex entries the parser must refuse, and
+``MALFORMED_SHAPE_DOCS`` documents with a field of the wrong JSON type.
 """
 
 import itertools
@@ -298,4 +299,21 @@ MALFORMED_COMPLEX_DOCS = {
     "string": {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [["1", "0"], ["0", "0"]]},
     "ragged": {"d": 2, "parties": 1, "kind": "matrix", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
     "huge": {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[10**400, 0], [0, 0]]},
+}
+
+
+#: State documents with a field of the wrong JSON type, each with the field its refusal names.
+MALFORMED_SHAPE_DOCS = {
+    "params-array": (
+        {"kind": "builtin", "name": "ghz", "d": 2, "parties": 3, "params": [1]},
+        "params",
+    ),
+    "members-object": (
+        {"d": 2, "parties": 1, "kind": "ensemble", "members": {"amplitudes": 1}},
+        "members",
+    ),
+    "members-of-numbers": (
+        {"d": 2, "parties": 1, "kind": "ensemble", "members": [5]},
+        "members",
+    ),
 }

@@ -7,8 +7,8 @@ import pytest
 
 from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix, sample_seed
 from blochbounds import sweeps
-from blochbounds.cli import main
-from conftest import MALFORMED_COMPLEX_DOCS
+from blochbounds.cli import _dumps, main
+from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +20,16 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     return code, (json.loads(out) if out.strip() else None), err
+
+
+def assert_indent_layout(out):
+    """``out`` is byte for byte what ``print(json.dumps(value, indent=2))`` writes of its value."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def assert_compact_layout(text):
+    """``text`` is byte for byte ``json.dumps(value)`` of the value it holds."""
+    assert text == json.dumps(json.loads(text))
 
 
 def test_bounds_d2(capsys):
@@ -159,6 +169,7 @@ def test_decompose_dump_and_reingest_preserves_norms(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(dump.read_text())["kind"] == "matrix"
+    assert_compact_layout(dump.read_text())
     code, second, _ = run_json(capsys, "decompose", "--state", str(dump))
     assert code == 0
     for t1, t2 in zip(first["tensors"], second["tensors"]):
@@ -458,6 +469,33 @@ def test_malformed_complex_entries_in_state_file_exit_two(capsys, tmp_path, case
     assert "JSON numbers" in err or "rectangular array" in err
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHAPE_DOCS))
+def test_fields_of_the_wrong_json_type_in_state_file_exit_two(capsys, tmp_path, case):
+    doc, field = MALFORMED_SHAPE_DOCS[case]
+    path = _state_file(tmp_path, json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", "--state", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert f"{field} must be" in err
+
+
+def test_failed_decompose_writes_no_dump(capsys, tmp_path):
+    # valid as a state (Hermiticity deviation 8e-10 < 1e-9), refused by the residue guard
+    matrix = [[[0.5, 0.0], [4e-10, 0.0]], [[-4e-10, 0.0], [0.5, 0.0]]]
+    doc = {"d": 2, "parties": 1, "kind": "matrix", "matrix": matrix}
+    path = _state_file(tmp_path, json.dumps(doc))
+    dump = tmp_path / "dump.json"
+    code, out, err = run_cli(capsys, "decompose", "--state", path, "--dump-state", str(dump))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "residue" in err
+    assert not dump.exists()
+    argv = ["decompose", "--builtin", "ghz", "--d", "2", "--parties", "2", "--subset", "3"]
+    code, out, err = run_cli(capsys, *argv, "--dump-state", str(dump))
+    assert code == 2 and out == "" and "not contained" in err
+    assert not dump.exists()
+
+
 def test_state_and_builtin_are_mutually_exclusive(capsys, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(state_to_json(isotropic_ghz4(0.5, 2))))
@@ -501,3 +539,77 @@ def test_json_floats_round_trip_through_text(capsys):
     assert code == 0
     # the JSON encoding must preserve the double exactly
     assert float(repr(report["value"])) == report["value"]
+
+
+LAYOUT_CASES = {
+    "basis": ["basis", "--d", "3"],
+    "bounds": ["bounds", "--d", "3"],
+    "decompose": ["decompose", "--builtin", "ghz", "--d", "3", "--parties", "3"],
+    "decompose-subset": [
+        "decompose", "--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.6", "--subset", "1,3",
+    ],
+    "classify": ["classify", "--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.7"],
+    "measure-no-bound": ["measure", "--builtin", "ghz", "--d", "2", "--parties", "2"],
+    "measure-routes": ["measure", "--builtin", "ghz", "--d", "3", "--parties", "3"],
+    "tradeoff": ["tradeoff", "--builtin", "product_max_entangled", "--d", "2"],
+    "verify": ["verify", "--d", "2", "--parties", "3", "--samples", "6", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_json_reports_keep_the_stdlib_indent_layout(capsys, case):
+    code, out, _ = run_cli(capsys, *LAYOUT_CASES[case], "--format", "json")
+    assert code == 0
+    assert_indent_layout(out)
+
+
+def test_failing_verify_with_nan_keeps_the_stdlib_indent_layout(capsys, monkeypatch):
+    original = sweeps._rebuild
+
+    def rebuild(*args):
+        return _broken_sample(original(*args), 3, lambda mat: np.full_like(mat, np.nan))
+
+    monkeypatch.setattr(sweeps, "_rebuild", rebuild)
+    argv = ["verify", "--d", "2", "--parties", "3", "--samples", "6", "--seed", "4"]
+    argv += ["--checks", "reconstruction-round-trip", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert '"max_observed": NaN' in out
+    assert_indent_layout(out)
+
+
+@pytest.fixture(scope="module")
+def d4_matrix_file(tmp_path_factory):
+    """A full-rank d=4, n=4 matrix document: a 65 535-coefficient listing and a 256x256 dump."""
+    rng = np.random.default_rng(9)
+    g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / rho.trace().real
+    path = tmp_path_factory.mktemp("d4") / "matrix.json"
+    path.write_text(json.dumps(state_to_json(DensityMatrix(rho, 4, 4))))
+    return path
+
+
+def test_d4_report_and_dump_keep_the_stdlib_layouts(capsys, tmp_path, d4_matrix_file):
+    dump = tmp_path / "dump.json"
+    argv = ["decompose", "--state", str(d4_matrix_file), "--dump-state", str(dump)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert_indent_layout(out)
+    assert sum(len(t["coefficients"]) for t in json.loads(out)["tensors"]) == 65_535
+    assert_compact_layout(dump.read_text())
+
+
+def test_dumps_matches_the_stdlib_indent_encoder_on_edge_values():
+    nan, inf = float("nan"), float("inf")
+    value = {
+        "numbers": [1, -2.5, 1e-300, 2**70, nan, inf, -inf, -0.0],
+        "not-plain": [True, 1, np.float64(0.1), None],
+        "strings": ["a, b", "caf\u00e9\n", ""],
+        "empty": [[], {}, ()],
+        "nested": [[[0.0, 1.0]], (2, 3), {"k": [4]}],
+        "scalar": nan,
+    }
+    assert _dumps(value) == json.dumps(value, indent=2)
+    for leaf in (1, 0.5, "s", None, True, [], {}, [7], (1.5,)):
+        assert _dumps(leaf) == json.dumps(leaf, indent=2)

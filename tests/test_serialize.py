@@ -13,7 +13,7 @@ from blochbounds import (
     state_from_json,
     state_to_json,
 )
-from conftest import MALFORMED_COMPLEX_DOCS
+from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS
 
 
 def test_pure_round_trip():
@@ -103,6 +103,13 @@ def test_schema_errors():
 def test_complex_entries_must_be_json_number_pairs(case):
     with pytest.raises(ValueError, match="JSON numbers|rectangular array"):
         state_from_json(MALFORMED_COMPLEX_DOCS[case])
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHAPE_DOCS))
+def test_fields_of_the_wrong_json_type_are_refused_by_name(case):
+    doc, field = MALFORMED_SHAPE_DOCS[case]
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        state_from_json(doc)
 
 
 @pytest.mark.parametrize("weight", [True, "1.0", None, [1.0], pytest.param(10**400, id="huge")])
