@@ -153,7 +153,7 @@ def _resolve_tol(args):
 
 
 def _load_state(args):
-    if args.state:
+    if args.state is not None:
         with open(args.state, "r", encoding="utf-8") as handle:
             try:
                 return state_from_json(json.load(handle))
@@ -192,11 +192,11 @@ def _cmd_basis(args):
 def _cmd_decompose(args):
     rho = as_density(_load_state(args))
     decomp = full_decomposition(rho)
-    subsets = [_parse_subset(args.subset)] if args.subset else decomp.subsets()
+    subsets = [_parse_subset(args.subset)] if args.subset is not None else decomp.subsets()
     tensors = list(map(decomp.tensor, subsets))
     # Written once nothing can refuse the input, so a refused input leaves no file, and
     # before the coefficient lists are built, so they and the dump text never coexist.
-    if args.dump_state:
+    if args.dump_state is not None:
         text = json.dumps(state_to_json(rho))
         with open(args.dump_state, "w", encoding="utf-8") as handle:
             handle.write(text)

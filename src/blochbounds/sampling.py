@@ -119,11 +119,14 @@ def _uniforms(words) -> np.ndarray:
 def _box_muller(u1, u2):
     """Complex normals ``r cos(a) + i r sin(a)`` from uniforms, elementwise.
 
-    ``u1`` must lie in (0, 1] so that the log stays finite.
+    ``u1`` must lie in (0, 1] so that the log stays finite; ``u2`` has its shape.
     """
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2
-    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+    out = np.empty(radius.shape, complex)
+    np.multiply(radius, np.cos(angle), out=out.real)
+    np.multiply(radius, np.sin(angle), out=out.imag)
+    return out
 
 
 def _complex_normals(seeds, count) -> np.ndarray:

@@ -3,11 +3,12 @@
 A sweep draws ``count`` states from one sample specification and evaluates a
 set of named checks on every state, recording the worst case per check and
 the sample that produced it. Samples are processed in chunks sized by
-``CHUNK_BYTES``: a chunk's states are drawn, validated and decomposed as
-one stack, and each check maps the chunk to one value per sample. All
-reductions are max/all-of, so reports are deterministic for a fixed spec
-regardless of the chunking. A NaN observation makes its check's maximum
-NaN, and a NaN maximum fails the check.
+``CHUNK_BYTES`` (640 KiB of dense arrays: 6 samples at d=3, n=4): a
+chunk's states are drawn, validated and decomposed as one stack, and each
+check maps the chunk to one value per sample. All reductions are
+max/all-of over samples drawn from their own seeds, so a report is the
+same bytes for a fixed spec whatever the chunking. A NaN observation makes
+its check's maximum NaN, and a NaN maximum fails the check.
 
 A chunk validates what it draws, once, where it draws it: the amplitude
 rows of pure samples, the matrices of mixed ones, and the members of the
@@ -17,14 +18,15 @@ stack per block size for all classes). What the sweep derives from them
 validated again: a derived value that breaks shows as a failing or NaN
 check value naming its sample, not as an input error.
 Separable mixtures are never formed as matrices; their four-party tensor
-is assembled from the members' block tensors (``separable_tensor``).
+is assembled from the members' block tensors (``separable_tensor``), and a
+chunk keeps only its squared norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -91,10 +93,13 @@ ROUND_TRIP_TOL = 1e-10
 
 #: Byte budget of one sweep chunk, in the units of ``states.MAX_DENSE_BYTES``:
 #: a chunk holds as many samples as this many bytes of their dense arrays
-#: allow, and at least one. That is 2 samples at d=3, n=4, 22 at d=3, n=3
-#: and 64 at d=2, n=4; the transient arrays of a chunk take a small multiple
-#: of the budget, so the memory a sweep needs does not grow with ``count``.
-CHUNK_BYTES = 1 << 18
+#: allow, and at least one. That is 6 samples at d=3, n=4, 56 at d=3, n=3,
+#: 160 at d=2, n=4 and 1 at d=4, n=4. The transient arrays of a chunk take a
+#: small multiple of the budget, so the memory a sweep needs does not grow
+#: with ``count``: a d=3, n=4 pure sweep with every check peaks at 5.9 times
+#: the budget (``tracemalloc``), where the separable members' three-party
+#: blocks are contracted while the samples' stack and coefficients are held.
+CHUNK_BYTES = 5 << 17
 
 
 @dataclass(frozen=True)
@@ -189,8 +194,8 @@ class _Chunk:
     rows of a pure-haar chunk (the projectors of valid vectors are valid
     states), the matrices of a mixed one. It keeps the purities of the
     stack as ``purities``. Nothing derived from ``rho`` is validated again.
-    ``separable`` holds the four-party tensors of the constructed mixtures
-    of every class in ``labels``, drawn together.
+    ``separable`` holds the four-party squared norms of the constructed
+    mixtures of every class in ``labels``, drawn together, not their tensors.
     """
 
     def __init__(self, spec, seeds, labels):
@@ -225,7 +230,8 @@ class _Chunk:
 
     @cached_property
     def separable(self):
-        return _separable_tensors(self.spec.local_dim, self.labels, self.seeds, SEPARABLE_MEMBERS)
+        tensors = _separable_tensors(self.spec.local_dim, self.labels, self.seeds, SEPARABLE_MEMBERS)
+        return {label: _squared_norms(tensor) for label, tensor in tensors.items()}
 
 
 def _max_order_norm(ctx, size):
@@ -262,7 +268,9 @@ def _round_trip_error(ctx):
     and a non-finite one gives NaN, which fails the check.
     """
     d, n = ctx.spec.local_dim, ctx.spec.num_parties
-    return np.linalg.norm(_rebuild(ctx.coeffs, d, n) - ctx.rho, axis=(-2, -1))
+    rebuilt = _rebuild(ctx.coeffs, d, n)
+    rebuilt -= ctx.rho  # in place: the chunk holds no second stack of its size
+    return np.linalg.norm(rebuilt, axis=(-2, -1))
 
 
 def _separable_tensors(d, labels, seeds, members):
@@ -313,11 +321,6 @@ def separable_tensor(d, label, seed, members: int = SEPARABLE_MEMBERS) -> BlochT
     d, seed, members = _check_separable(d, label, seed, members)
     row = _separable_tensors(d, (label,), [seed], members)[label][0]
     return BlochTensor((1, 2, 3, 4), d, row)
-
-
-def _separable_norm(ctx, label):
-    """Four-party squared norm of constructed separable mixtures, one per chunk seed."""
-    return _squared_norms(ctx.separable[label])
 
 
 @dataclass(frozen=True)
@@ -430,7 +433,7 @@ _CHECKS = (
             (4,),
             False,
             BOUND_TOL,
-            evaluate=partial(_separable_norm, label=label),
+            evaluate=lambda ctx, label=label: ctx.separable[label],
             bound=lambda spec, label=label: (
                 separability_thresholds(spec.local_dim).for_class(label)
             ),

@@ -496,6 +496,25 @@ def test_failed_decompose_writes_no_dump(capsys, tmp_path):
     assert not dump.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--builtin", "ghz", "--d", "2", "--parties", "2", "--subset", ""], "--subset must be"),
+        (["--builtin", "ghz", "--d", "2", "--parties", "2", "--dump-state", ""], "No such file"),
+        (["--state", ""], "No such file"),
+    ],
+    ids=["subset", "dump-state", "state"],
+)
+def test_empty_values_exit_two_with_one_line(capsys, tmp_path, monkeypatch, argv, message):
+    # an empty value is a value: it is refused, not read as the flag left out
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "decompose", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert message in err and err.rstrip().endswith("''")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_state_and_builtin_are_mutually_exclusive(capsys, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(state_to_json(isotropic_ghz4(0.5, 2))))

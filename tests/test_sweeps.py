@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from blochbounds import (
     separable_tensor,
     tensor_norm_sq,
 )
+from blochbounds.cli import main
 from conftest import oracle_check_value, oracle_sample_value, separable_densities
 
 
@@ -374,3 +376,39 @@ def test_separable_members_are_validated_where_drawn(monkeypatch, broken, match)
     monkeypatch.setattr(sweeps, "_separable_draws", drawing)
     with pytest.raises(ValueError, match=match):
         run_sweep(SampleSpec(2, 4, PURE_HAAR, 3, 0), checks=["separable-2-2"])
+
+
+@pytest.mark.parametrize(
+    "d, n, kind, count",
+    [(3, 4, PURE_HAAR, 9), (3, 4, MIXED_GINIBRE, 9), (2, 4, MIXED_GINIBRE, 300)],
+)
+def test_reports_do_not_depend_on_chunking(capsys, monkeypatch, d, n, kind, count):
+    # every reduction is a max or all-of over samples drawn from their own seeds, so the
+    # report is the same bytes whatever the chunk size; each run here ends in a partial chunk
+    argv = ["verify", "--d", str(d), "--parties", str(n), "--kind", kind,
+            "--samples", str(count), "--seed", "11", "--format", "json"]
+    sizes, outputs = [], []
+    for budget in (1 << 18, 5 << 17):
+        monkeypatch.setattr(sweeps, "CHUNK_BYTES", budget)
+        sizes.append(sweeps._chunk_size(SampleSpec(d, n, kind, count, 11)))
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert sizes[0] < sizes[1] and all(count % size for size in sizes)
+    assert outputs[0] == outputs[1]
+
+
+def test_working_set_stays_a_small_multiple_of_the_chunk_budget():
+    # a d=3, n=4 pure sweep with every check peaks at about 5.9 x CHUNK_BYTES (see its
+    # comment), in the separable members' block contraction. Another array of a third of
+    # the samples' stack held at that point, such as a copy of their coefficients, pushes
+    # it past this multiple.
+    spec = SampleSpec(3, 4, PURE_HAAR, 8, 5)
+    assert sweeps._chunk_size(spec) == 6
+    run_sweep(spec)  # the cached bases and draw layouts are not part of a chunk
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.25 * sweeps.CHUNK_BYTES
