@@ -104,6 +104,11 @@ def triple_sum_bound(d) -> float:
     The sum over all triples is at most 8(d^2 - 1)^3 / (d^3 (d^2 - 2)). Only at
     d = 2 and 3 is that below four times the single-triple bound; from d = 4 on
     it exceeds that sum (30.13 against 27.0 at d = 4) and adds no constraint.
+
+    The largest sums known are well below the cap: 8 at d = 2 (the
+    Higuchi-Sudbery state, 13.5 allowed) and ``32 (d - 1)^3 / d^3`` from a
+    pure product state at d >= 3 (256/27 at d = 3, which AME(4,3) ties).
+    Whether the cap is tight, or the state that reaches it exists, is open.
     """
     return 8.0 * (d * d - 1) ** 3 / (d**3 * (d * d - 2))
 

@@ -24,9 +24,10 @@ The draws are batched: each private ``_ginibre_densities`` /
 seeds, reads every seed's stream once and transforms the whole stack at
 once into raw arrays. The Haar and Ginibre draws read their uniforms with
 ``Generator.random``, two calls per seed; the separable draws decode the
-raw words themselves through a cached layout, since their split picks and
-block uniforms would take two ``Generator`` calls per member. They
-validate nothing: a public single-draw function is the same code at one
+raw words themselves, since their split picks and block uniforms would
+take two ``Generator`` calls per member. Each class's stream has a fixed
+period (see ``_separable_draws``), so plain reshapes of the words find
+every value. They validate nothing: a public single-draw function is the same code at one
 seed, and its state's constructor validates the result, while a sweep
 validates each chunk's draw where it draws it.
 """
@@ -34,7 +35,6 @@ validates each chunk's draw where it draws it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -219,117 +219,24 @@ def _split_layout(d, label):
     return tuple(len(block) for block in splits[0]), orders, perms
 
 
-class _DrawLayout(NamedTuple):
-    """Where the separable draws of some classes read a seed's stream; see ``_draw_layout``."""
-
-    width: int
-    picks: np.ndarray
-    shifts: np.ndarray
-    splits: np.ndarray
-    thresholds: np.ndarray
-    reads: np.ndarray
-    spans: tuple
-    order: np.ndarray
-    sizes: tuple
-    slots: tuple
-
-
-# keyed by a caller's ``members`` too, so bounded: a sweep needs one layout per (d, classes)
-@lru_cache(maxsize=16)
-def _draw_layout(d, labels, members):
-    """Word indices of the separable draws of ``labels`` (a tuple of classes) on one stream.
-
-    Each class reads the stream from its start: the ``members - 1`` simplex
-    cuts (words ``0`` to ``members - 2``, the same for every class), then
-    per member its split pick and the uniforms of its blocks in block order
-    (per block the radii, then the angles). Per class ``c``:
-
-    - ``picks[c]``, ``shifts[c]``: the word of each member's pick and the
-      shift (0 or 32) of its half; a class with one split reads no word,
-      and its picks point at word 0, which gives 0;
-    - ``splits[c]``, ``thresholds[c]``: its split count ``k`` and Lemire's
-      rejection threshold ``(2**32 - k) % k``;
-    - ``reads[spans[c]]``: the words of its members' uniforms, in stream
-      order, ``(members, 2 * sum of d**k)`` when reshaped.
-
-    ``order`` regroups ``reads`` by block party count ``k`` (ascending),
-    then class, block, member and entry: row 0 holds the radii, row 1 the
-    angles, and ``sizes`` lists each ``(k, rows)``, ``rows`` blocks of
-    ``d**k`` entries. ``slots[c]`` gives ``(k, start)`` per block of class
-    ``c``: its members are rows ``start`` to ``start + members`` of the
-    k-party blocks. ``width`` is the number of words the longest class
-    reads.
-    """
-    picks, shifts, splits, streams, spans, slots, groups = [], [], [], [], [], [], {}
-    width = start = 0
-    for label in labels:
-        count = len(SEPARABLE_SPLITS[label])
-        parties = _split_layout(d, label)[0]
-        reads = 2 * sum(d**k for k in parties)
-        position = members - 1
-        word = 0
-        pick = []
-        for m in range(members):
-            if count > 1 and m % 2 == 0:
-                # a new word: its low half picks now, its high half for the next member
-                word = position
-                position += 1
-            pick.append(word)
-            streams.append(np.arange(position, position + reads))
-            position += reads
-        width = max(width, position)
-        picks.append(pick)
-        shifts.append([32 * (m % 2) for m in range(members)])
-        splits.append(count)
-        # this class's reads are start..start + members * reads of the concatenation
-        at = start + np.arange(members * reads).reshape(members, reads)
-        offset = 0
-        class_slots = []
-        for k in parties:
-            group = groups.setdefault(k, [])
-            class_slots.append((k, members * len(group)))
-            group.append(at[:, offset : offset + 2 * d**k].reshape(members, 2, d**k))
-            offset += 2 * d**k
-        slots.append(tuple(class_slots))
-        spans.append(slice(start, start + members * reads))
-        start += members * reads
-    layout = _DrawLayout(
-        width=width,
-        picks=np.array(picks, dtype=np.intp),
-        shifts=np.array(shifts, dtype=np.uint64),
-        splits=np.array(splits, dtype=np.uint64)[:, None],
-        thresholds=np.array([(2**32 - k) % k for k in splits], dtype=np.uint64)[:, None],
-        reads=np.concatenate(streams),
-        spans=tuple(spans),
-        order=np.concatenate(
-            [np.concatenate(groups[k]).transpose(1, 0, 2).reshape(2, -1) for k in sorted(groups)],
-            axis=1,
-        ),
-        sizes=tuple((k, members * len(groups[k])) for k in sorted(groups)),
-        slots=tuple(slots),
-    )
-    for field in layout:
-        if isinstance(field, np.ndarray):
-            field.setflags(write=False)
-    return layout
-
-
-def _lemire_picks(halves, splits, thresholds):
+def _lemire_picks(halves, splits):
     """Picks among ``splits`` choices from 32-bit halves, as ``Generator.integers`` makes them.
 
-    Returns the picks and a mask of the halves that Lemire's rule rejects:
-    there numpy reads another half, so the stream no longer follows the
-    layout.
+    Returns the picks and a mask of the halves that Lemire's rule rejects
+    (the low 32 bits of ``h * splits`` below ``(2**32 - splits) % splits``):
+    there numpy reads another half, so the stream leaves its fixed period.
     """
-    scaled = halves * splits
-    return (scaled >> np.uint64(32)).astype(np.intp), (scaled & _MASK32) < thresholds
+    scaled = halves * np.uint64(splits)
+    threshold = np.uint64((2**32 - splits) % splits)
+    return (scaled >> np.uint64(32)).astype(np.intp), (scaled & _MASK32) < threshold
 
 
 def _read_members(d, label, seed, members):
     """One class's member picks and uniforms from one stream, read call by call.
 
-    The reference of the layout decode, through ``np.random.Generator``; a
-    draw whose pick Lemire's rule rejects is read this way. Returns the
+    The reference of the decode in ``_separable_draws``, through
+    ``np.random.Generator``; a draw whose pick Lemire's rule rejects leaves
+    the stream's fixed period and is read this way. Returns the
     ``(members,)`` picks and the ``(members, 2 * sum of d**k)`` uniforms.
     """
     rng = _generator(seed)
@@ -346,41 +253,62 @@ def _read_members(d, label, seed, members):
 def _separable_draws(d, labels, seeds, members):
     """The members of separable mixtures of each class in ``labels``, one mixture per seed.
 
-    Reads each seed's stream once and decodes every class from it through
-    ``_draw_layout(d, labels, members)``; a class whose pick Lemire's rule
-    rejects on some seed is read again there by ``_read_members``. All
-    block uniforms go through one Box-Muller transform, and the vectors of
-    all k-party blocks are normalized as one stack per ``k``.
+    Each class reads a seed's stream from its start: the ``members - 1``
+    simplex cuts, the same for every class, then per member ``R = 2 * sum
+    of d**k`` uniforms (per block the radii, then the angles). A class of
+    one split reads no pick; any other class reads in periods of ``1 + 2 R``
+    words, a pick word (its low half for an even member, its high half for
+    the next) and two members' uniforms. With an odd ``members`` the last
+    period's second read is decoded and dropped, which leaves the
+    counter-based stream as it is. A class whose pick Lemire's rule rejects
+    on some seed is read again there by ``_read_members``. All k-party
+    blocks go through one Box-Muller transform and are normalized as one
+    stack per ``k``.
 
-    Returns the ``(B, members)`` weights, which every class reads from the
-    same first words of a stream, the ``(B, len(labels), members)`` split
-    picks (an index into ``SEPARABLE_SPLITS[label]``), and per block party
-    count ``k`` the normalized block vectors of every class's k-party
-    blocks as one ``(B, rows, d**k)`` stack; ``_draw_layout(...).slots``
-    names the rows of each class's blocks. See ``random_separable``.
+    Returns the ``(B, members)`` weights, the ``(B, len(labels), members)``
+    split picks (an index into ``SEPARABLE_SPLITS[label]``), per ``k`` the
+    normalized vectors of every class's k-party blocks as one ``(B, rows,
+    d**k)`` stack, and per class the ``(k, start)`` of each block: its
+    members are rows ``start`` to ``start + members`` of the k-party stack.
+    See ``random_separable``.
     """
-    layout = _draw_layout(d, labels, members)
-    words = np.stack([np.random.Philox(key=seed).random_raw(layout.width) for seed in seeds])
-    uniforms = _uniforms(words)
-    halves = (np.take(words, layout.picks, axis=1) >> layout.shifts) & _MASK32
-    picks, rejected = _lemire_picks(halves, layout.splits, layout.thresholds)
-    # np.take gathers C-contiguous, unlike uniforms[:, index]: then the normals come out
-    # C-contiguous too, and each block's norm sums its row as a draw of one class does
-    reads = np.take(uniforms, layout.reads, axis=1)
-    for row, c in zip(*np.nonzero(rejected.any(axis=-1))):
-        picks[row, c], redone = _read_members(d, labels[c], seeds[row], members)
-        reads[row, layout.spans[c]] = redone.reshape(-1)
-    block_uniforms = np.take(reads, layout.order, axis=1)
-    cuts = np.sort(uniforms[:, : members - 1], axis=-1)
+    count = len(seeds)
+    periods = -(-members // 2)
+    reads = [2 * sum(d**k for k in _split_layout(d, label)[0]) for label in labels]
+    # a class without picks reads members * r <= periods * (1 + 2 * r) words
+    width = members - 1 + periods * (1 + 2 * max(reads))
+    words = np.stack([np.random.Philox(key=seed).random_raw(width) for seed in seeds])
+    cuts = np.sort(_uniforms(words[:, : members - 1]), axis=-1)
     weights = np.diff(cuts, prepend=0.0, append=1.0, axis=-1)
-    normals = _box_muller(1.0 - block_uniforms[:, 0], block_uniforms[:, 1])
+    body = words[:, members - 1 :]
+    picks = np.zeros((count, len(labels), members), dtype=np.intp)
+    groups, slots = {}, []
+    for c, (label, r) in enumerate(zip(labels, reads)):
+        splits = len(SEPARABLE_SPLITS[label])
+        if splits > 1:
+            period = body[:, : periods * (1 + 2 * r)].reshape(count, periods, 1 + 2 * r)
+            halves = np.stack([period[..., 0] & _MASK32, period[..., 0] >> np.uint64(32)], axis=-1)
+            picks[:, c], rejected = _lemire_picks(halves.reshape(count, -1)[:, :members], splits)
+            uniforms = _uniforms(period[..., 1:]).reshape(count, -1, r)[:, :members]
+            for row in np.nonzero(rejected.any(axis=-1))[0]:
+                picks[row, c], uniforms[row] = _read_members(d, label, seeds[row], members)
+        else:
+            uniforms = _uniforms(body[:, : members * r]).reshape(count, members, r)
+        offset = 0
+        class_slots = []
+        for k in _split_layout(d, label)[0]:
+            group = groups.setdefault(k, [])
+            class_slots.append((k, members * len(group)))
+            group.append(uniforms[..., offset : offset + 2 * d**k].reshape(count, members, 2, d**k))
+            offset += 2 * d**k
+        slots.append(tuple(class_slots))
     stacks = {}
-    start = 0
-    for k, rows in layout.sizes:
-        block = normals[:, start : start + rows * d**k].reshape(len(seeds), rows, d**k)
-        stacks[k] = block / np.linalg.norm(block, axis=-1, keepdims=True)
-        start += rows * d**k
-    return weights, picks, stacks
+    for k in sorted(groups):
+        block = np.concatenate(groups[k], axis=1)
+        # _box_muller allocates C-contiguous normals, so each row's norm sums as one draw's does
+        normals = _box_muller(1.0 - block[:, :, 0], block[:, :, 1])
+        stacks[k] = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+    return weights, picks, stacks, tuple(slots)
 
 
 def _separable_members(d, label, seeds, members):
@@ -389,9 +317,8 @@ def _separable_members(d, label, seeds, members):
     The blocks come as one ``(B, members, d**k)`` array per block, in
     block order; see ``_separable_draws``.
     """
-    weights, picks, stacks = _separable_draws(d, (label,), seeds, members)
-    slots = _draw_layout(d, (label,), members).slots[0]
-    return weights, picks[:, 0], [stacks[k][:, start : start + members] for k, start in slots]
+    weights, picks, stacks, slots = _separable_draws(d, (label,), seeds, members)
+    return weights, picks[:, 0], [stacks[k][:, start : start + members] for k, start in slots[0]]
 
 
 def _check_separable(d, label, seed, members):
@@ -402,6 +329,11 @@ def _check_separable(d, label, seed, members):
     if members < 1:
         raise ValueError("members must be at least 1")
     d, _ = _check_dims(d, 4)
+    if 16 * members * d**6 > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"members={members} at d={d} needs {16 * members * d**6} bytes of three-party "
+            f"block projectors, above the cap of {MAX_DENSE_BYTES} bytes"
+        )
     return d, _check_seed(seed), members
 
 

@@ -52,7 +52,6 @@ from .sampling import (
     SEPARABLE_MEMBERS,
     _check_separable,
     _check_seed,
-    _draw_layout,
     _ginibre_densities,
     _haar_amplitudes,
     _separable_draws,
@@ -65,6 +64,7 @@ from .states import (
     _check_densities,
     _check_dims,
     _check_int,
+    _check_real,
     _check_weights,
     _dense_bytes,
     _partial_trace,
@@ -287,7 +287,7 @@ def _separable_tensors(d, labels, seeds, members):
     weights of the members that picked split ``s``. No ``d^4 x d^4``
     matrix is formed.
     """
-    weights, picks, stacks = _separable_draws(d, labels, seeds, members)
+    weights, picks, stacks, slots = _separable_draws(d, labels, seeds, members)
     _check_weights(weights)
     count = len(seeds)
     block_tensors = {}
@@ -295,7 +295,6 @@ def _separable_tensors(d, labels, seeds, members):
         _check_amplitudes(stack.reshape(-1, d**k))
         coeffs = _coefficients(_projectors(stack), d, k)[(slice(None),) + (slice(1, None),) * k]
         block_tensors[k] = coeffs.reshape(count, stack.shape[1], -1)
-    slots = _draw_layout(d, labels, members).slots
     tensors = {}
     for c, label in enumerate(labels):
         blocks = [block_tensors[k][:, start : start + members] for k, start in slots[c]]
@@ -471,13 +470,16 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
 
     ``checks=None`` selects every check applicable to the spec; requesting
     no check, a check by name that does not apply or a check twice raises
-    ValueError. ``tol`` overrides every check's own tolerance when given.
+    ValueError. ``tol``, a finite real number, overrides every check's own
+    tolerance when given.
     The ``separable-*`` checks draw their own class-constrained mixtures
     (same count and seed schedule, all selected classes from one read of
     each stream) instead of using the spec's ensemble kind. A drawn sample or member
     that fails validation raises ValueError; a derived value that breaks
     fails its check instead.
     """
+    if tol is not None:
+        tol = _check_real(tol, "comparison tolerance")
     if checks is None:
         selected = [check for check in _CHECKS if _applicable(check, spec)]
     else:

@@ -201,7 +201,7 @@ def single_separable_matrix(d, label, seed, members=8):
 def single_separable_members(d, label, seeds, members=8):
     """The members of separable mixtures, read call by call through a ``Generator`` per seed.
 
-    The reference of the library's word-layout decode (``_separable_members``):
+    The reference of the library's raw-word decode (``_separable_members``):
     per seed the stream gives the simplex cuts, then per member
     ``rng.integers`` for its split and ``rng.random`` for the uniforms of
     its blocks in block order (radii, then angles, per block). Returns the

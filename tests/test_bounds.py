@@ -31,6 +31,7 @@ from blochbounds import (
     tripartite_norm_bound,
     triple_sum_bound,
     DensityMatrix,
+    PureState,
 )
 from conftest import ghz_norm_sq
 
@@ -310,6 +311,36 @@ def test_tradeoff_bound_value_d3():
     # the joint cap undercuts four single-triple caps at d = 2 and 3 only
     for d in range(2, 9):
         assert (triple_sum_bound(d) < 4 * tripartite_norm_bound(d)) == (d <= 3), d
+
+
+def test_tradeoff_sum_of_the_higuchi_sudbery_state():
+    # every pair purity is 1/3: the best sum known at d = 2, 8 against the cap of 13.5
+    omega = np.exp(2j * np.pi / 3)
+    amps = np.zeros(16, dtype=complex)
+    pairs = {(0b0011, 0b1100): 1, (0b1010, 0b0101): omega, (0b1001, 0b0110): omega**2}
+    for (a, b), phase in pairs.items():
+        amps[a] = amps[b] = phase / math.sqrt(6)
+    result = tradeoff_check(from_pure(PureState(amps, 2, 4)))
+    assert abs(result.sum_sq - 8) < 1e-12
+    assert result.satisfied
+
+
+def test_tradeoff_sum_of_ame_4_3():
+    # sum over i, j of |i, j, i + j, i + 2j> / 3 (mod 3) ties a product state at d = 3
+    amps = np.zeros((3,) * 4, dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            amps[i, j, (i + j) % 3, (i + 2 * j) % 3] = 1 / 3
+    result = tradeoff_check(from_pure(PureState(amps, 3, 4)))
+    assert abs(result.sum_sq - 256 / 27) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_tradeoff_sum_of_a_product_state(d):
+    # each pure factor carries a squared Bloch norm of 2(d - 1)/d, so each triple 8(d - 1)^3/d^3
+    factors = [((p,), haar_random_pure(d, 1, seed=40 + p).amplitudes) for p in range(1, 5)]
+    result = tradeoff_check(from_pure(product_state(factors, d)))
+    assert abs(result.sum_sq - 32 * (d - 1) ** 3 / d**3) < 1e-12
 
 
 def test_tradeoff_rejects_other_arities():

@@ -4,6 +4,7 @@ import pytest
 from blochbounds import (
     MIXED_GINIBRE,
     PURE_HAAR,
+    SEPARABLE_MEMBERS,
     SEPARABLE_SPLITS,
     SampleSpec,
     bloch_tensor,
@@ -230,6 +231,14 @@ def test_random_separable_rejects_unknown_class():
         random_separable(2, "1-3", seed=1, members=0)
 
 
+def test_separable_members_are_capped_by_their_block_projectors():
+    # refused before anything is drawn; the default passes at every admitted d
+    with pytest.raises(ValueError, match="members=1099511627776 at d=2 .* above the cap"):
+        random_separable(2, "1-3", seed=1, members=2**40)
+    for d in range(2, 9):
+        assert sampling._check_separable(d, "1-3", 0, SEPARABLE_MEMBERS)[2] == SEPARABLE_MEMBERS
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 4), (4, 2)])
 def test_batched_haar_draws_are_bit_identical_to_single_draws(d, n):
     seeds = [sample_seed(5, i) for i in range(7)]
@@ -275,29 +284,29 @@ def _assert_members_equal(members_a, members_b):
 @pytest.mark.parametrize("members", [1, 2, 3, 8])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_separable_members_decode_the_call_by_call_reads(d, members):
-    # the word-layout decode reads what Generator.random/integers read, bit for bit,
+    # the raw-word decode reads what Generator.random/integers read, bit for bit,
     # for one class alone and for all four classes drawn from one stream read
     labels = tuple(SEPARABLE_SPLITS)
-    weights, picks, stacks = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, members)
+    weights, picks, stacks, slots = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, members)
     for c, label in enumerate(labels):
         expected = single_separable_members(d, label, SEPARABLE_SEEDS, members)
         _assert_members_equal(
             sampling._separable_members(d, label, SEPARABLE_SEEDS, members), expected
         )
-        slots = sampling._draw_layout(d, labels, members).slots[c]
-        together = [stacks[k][:, start : start + members] for k, start in slots]
+        together = [stacks[k][:, start : start + members] for k, start in slots[c]]
         _assert_members_equal((weights, picks[:, c], together), expected)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_rejected_picks_are_read_again_call_by_call(monkeypatch, d):
     # a pick that Lemire's rule rejects shifts the rest of its class's stream; force
-    # every (seed, class) onto the call-by-call re-read and get the same arrays
+    # every (seed, class) that reads picks onto the call-by-call re-read and get the
+    # same arrays. The one-split class reads no pick, so nothing of it is read again.
     lemire_picks, read_members = sampling._lemire_picks, sampling._read_members
     reads = []
 
-    def rejecting(halves, splits, thresholds):
-        picks, _ = lemire_picks(halves, splits, thresholds)
+    def rejecting(halves, splits):
+        picks, _ = lemire_picks(halves, splits)
         return np.full_like(picks, -1), np.ones(picks.shape, dtype=bool)
 
     def reading(d, label, seed, members):
@@ -307,28 +316,23 @@ def test_rejected_picks_are_read_again_call_by_call(monkeypatch, d):
     monkeypatch.setattr(sampling, "_lemire_picks", rejecting)
     monkeypatch.setattr(sampling, "_read_members", reading)
     labels = tuple(SEPARABLE_SPLITS)
-    weights, picks, stacks = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, 8)
-    assert sorted(reads) == sorted((label, seed) for label in labels for seed in SEPARABLE_SEEDS)
+    weights, picks, stacks, slots = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, 8)
+    picking = [label for label in labels if len(SEPARABLE_SPLITS[label]) > 1]
+    assert sorted(reads) == sorted((label, seed) for label in picking for seed in SEPARABLE_SEEDS)
     for c, label in enumerate(labels):
-        slots = sampling._draw_layout(d, labels, 8).slots[c]
         _assert_members_equal(
-            (weights, picks[:, c], [stacks[k][:, start : start + 8] for k, start in slots]),
+            (weights, picks[:, c], [stacks[k][:, start : start + 8] for k, start in slots[c]]),
             single_separable_members(d, label, SEPARABLE_SEEDS, 8),
         )
 
 
 def test_lemire_rejects_exactly_below_its_threshold():
     # numpy redraws a half h when the low 32 bits of h * k fall below (2**32 - k) % k:
-    # 3 and 6 splits have thresholds 1 and 4, and 1 or 4 splits never reject
-    layout = sampling._draw_layout(2, ("1-3", "2-2", "1-1-2", "1-1-1-1"), 8)
-    assert layout.splits.ravel().tolist() == [4, 3, 6, 1]
-    assert layout.thresholds.ravel().tolist() == [0, 1, 4, 0]
+    # the classes' 4, 3, 6 and 1 splits have thresholds 0, 1, 4 and 0
     halves = np.array([0, 1, 2**32 - 1, 715827882, 715827883], dtype=np.uint64)
-    for splits, threshold in ((1, 0), (3, 1), (4, 0), (6, 4)):
-        assert (2**32 - splits) % splits == threshold
-        picks, rejected = sampling._lemire_picks(
-            halves, np.uint64(splits), np.uint64(threshold)
-        )
+    for label, threshold in (("1-3", 0), ("2-2", 1), ("1-1-2", 4), ("1-1-1-1", 0)):
+        splits = len(SEPARABLE_SPLITS[label])
+        picks, rejected = sampling._lemire_picks(halves, splits)
         scaled = [int(h) * splits for h in halves]
         assert picks.tolist() == [value >> 32 for value in scaled]
         assert rejected.tolist() == [value % 2**32 < threshold for value in scaled]

@@ -294,6 +294,19 @@ def test_tolerance_override_can_fail_identity_checks():
     assert not report.passed
 
 
+@pytest.mark.parametrize("tol", ["1e-9", float("nan"), True])
+def test_tolerance_override_must_be_a_finite_real(tol):
+    spec = SampleSpec(2, 2, PURE_HAAR, 1, base_seed=3)
+    with pytest.raises(ValueError, match="comparison tolerance must be a finite real number"):
+        run_sweep(spec, checks=["ball-radius"], tol=tol)
+
+
+def test_integer_tolerance_override_is_reported_as_a_float():
+    report = run_sweep(SampleSpec(2, 2, PURE_HAAR, 1, base_seed=3), tol=1)
+    assert {type(check.tolerance) for check in report.checks} == {float}
+    assert {check.tolerance for check in report.checks} == {1.0}
+
+
 def test_outcome_lookup():
     spec = SampleSpec(2, 2, PURE_HAAR, 10, base_seed=9)
     report = run_sweep(spec)
@@ -343,6 +356,7 @@ def test_separable_tensor_is_the_batched_row():
         ((2, "1-3", -1), "seed must be an integer"),
         ((2.5, "1-3", 0), "must be an integer"),
         ((1000, "1-3", 0), "above the cap"),
+        ((2, "1-3", 0, 2**40), "members=1099511627776 at d=2 .* above the cap"),
     ],
 )
 def test_separable_tensor_rejects_bad_arguments(args, match):
@@ -362,7 +376,7 @@ def test_separable_members_are_validated_where_drawn(monkeypatch, broken, match)
     original = sweeps._separable_draws
 
     def drawing(*args):
-        weights, picks, stacks = original(*args)
+        weights, picks, stacks, slots = original(*args)
         if broken == "weights":
             weights = 2.0 * weights
         elif broken == "blocks":
@@ -371,7 +385,7 @@ def test_separable_members_are_validated_where_drawn(monkeypatch, broken, match)
         else:
             last = max(stacks)
             stacks = {**stacks, last: np.full_like(stacks[last], np.nan)}
-        return weights, picks, stacks
+        return weights, picks, stacks, slots
 
     monkeypatch.setattr(sweeps, "_separable_draws", drawing)
     with pytest.raises(ValueError, match=match):
@@ -404,7 +418,7 @@ def test_working_set_stays_a_small_multiple_of_the_chunk_budget():
     # it past this multiple.
     spec = SampleSpec(3, 4, PURE_HAAR, 8, 5)
     assert sweeps._chunk_size(spec) == 6
-    run_sweep(spec)  # the cached bases and draw layouts are not part of a chunk
+    run_sweep(spec)  # the cached bases and split orders are not part of a chunk
     tracemalloc.start()
     try:
         run_sweep(spec)
