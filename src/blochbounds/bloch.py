@@ -43,14 +43,6 @@ __all__ = [
 IMAG_RESIDUE_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
-def _extended_stack(d: int) -> np.ndarray:
-    """Read-only (d**2, d, d) local basis: the identity at index 0, then the generators."""
-    stack = np.concatenate([np.eye(d, dtype=complex)[None], generate_basis(d).stacked()])
-    stack.setflags(write=False)
-    return stack
-
-
 @dataclass
 class BlochTensor:
     """Flat real coefficient array for one party subset, given in ascending order."""
@@ -126,22 +118,62 @@ def all_subsets(num_parties):
     return out
 
 
-def _coefficients(mats, d, n) -> np.ndarray:
-    """All ``Tr(rho B_i1 x ... x B_in)`` over the extended basis for a (B, d^n, d^n) stack.
+@lru_cache(maxsize=None)
+def _pass_matrices(d: int):
+    """Read-only ``(d**2, d**2)`` matrices of one party's step, forward and in reverse.
 
-    Returns shape ``(B,) + (d**2,) * n``. One tensordot per party contracts
-    its row and column index of every ``rho`` with the local basis. Index 0
-    on a party stands for the identity there, so ``C[b, 0, ..., 0]`` is the
+    Over the extended basis (``B_0`` the identity, then the generators),
+    forward entry ``[(r, c), i]`` is ``B_i[c, r]``, and reverse entry
+    ``[i, (r, c)]`` is ``B_i[r, c]`` weighted 1/d on the identity and 1/2
+    on the generators.
+    """
+    basis = np.concatenate([np.eye(d, dtype=complex)[None], generate_basis(d).stacked()])
+    weights = np.full(d * d, 0.5)
+    weights[0] = 1.0 / d
+    forward = basis.transpose(2, 1, 0).reshape(d * d, d * d)
+    reverse = (basis * weights[:, None, None]).reshape(d * d, d * d)
+    for mat in (forward, reverse):
+        mat.setflags(write=False)
+    return forward, reverse
+
+
+def _party_steps(work, step, n) -> np.ndarray:
+    """Run ``n`` party steps on a contiguous work array; return the array holding the result.
+
+    Each step is one gemm, into a second array of the same size, that
+    consumes the leading ``d**2`` entries of a party and appends their
+    ``step`` image as the last axis; the arrays swap roles every step.
+    """
+    k = len(step)
+    other = np.empty_like(work)
+    for _ in range(n):
+        np.matmul(work.reshape(k, -1).T, step, out=other.reshape(-1, k))
+        work, other = other, work
+    return work
+
+
+def _coefficients(mats, d, n) -> np.ndarray:
+    """All ``Tr(rho B_i1 x ... x B_in)`` over the extended basis for a stack of matrices.
+
+    ``mats`` is any stack of ``d^n x d^n`` matrices, such as ``(B, d^n, d^n)``
+    or ``(count, rows, d^n, d^n)``; it is read, never written. Returns shape
+    ``(B,) + (d**2,) * n`` with ``B`` the number of matrices. The stack is
+    copied once into the layout ``(r1, c1, ..., rn, cn, B)`` (row and
+    column digit of each party, stack last); one gemm per party then
+    contracts the leading digit pair with the local basis. Index 0 on a
+    party stands for the identity there, so ``C[b, 0, ..., 0]`` is the
     trace of matrix b and every ``T^(S)`` is a slice.
     """
-    basis = _extended_stack(d)
-    coeffs = mats.reshape((-1,) + (d,) * (2 * n))
-    for rows in range(n, 0, -1):
-        # axis 0 is the stack; the next party's row digit is axis 1, its column digit axis 1 + rows
-        coeffs = np.tensordot(coeffs, basis, axes=([1, 1 + rows], [2, 1]))
+    count = mats.size // d ** (2 * n)
+    # axes of the input digits: the stack, then n row digits, then n column digits
+    axes = [axis for p in range(1, n + 1) for axis in (p, p + n)] + [0]
+    work = np.empty((d, d) * n + (count,), dtype=complex)
+    work[...] = mats.reshape((count,) + (d,) * (2 * n)).transpose(axes)
+    forward, _ = _pass_matrices(d)
+    coeffs = _party_steps(work, forward, n).reshape((count,) + (d * d,) * n)
     # the trace entries are validated by the states themselves; skip them here
-    residue = float(np.abs(coeffs.imag).reshape(len(coeffs), -1)[:, 1:].max())
-    if residue > IMAG_RESIDUE_TOL:
+    residue = float(np.abs(coeffs.imag).reshape(count, -1)[:, 1:].max())
+    if not residue <= IMAG_RESIDUE_TOL:
         raise ValueError(
             f"coefficients carry imaginary residue {residue:.3e}; input is not Hermitian enough"
         )
@@ -206,19 +238,22 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
 def _rebuild(coeffs, d, n) -> np.ndarray:
     """The (B, d^n, d^n) matrices of a coefficient stack: ``_coefficients`` run in reverse.
 
-    Every state has unit trace, so the trace entries ``coeffs[b, 0, ..., 0]``
-    are taken as 1 whatever ``coeffs`` holds there; ``coeffs`` is not modified.
+    ``coeffs`` is any stack of ``(d**2,) * n`` arrays; it is read, never
+    written. It is copied once into the complex layout ``(i1, ..., in, B)``,
+    and the same gemm per party as the forward pass, with the weighted
+    basis, turns each index into a row and column digit pair. Every state
+    has unit trace, so the trace entries ``coeffs[b, 0, ..., 0]`` are taken
+    as 1 whatever ``coeffs`` holds there.
     """
-    weights = np.full(d * d, 0.5)
-    weights[0] = 1.0 / d
-    basis = _extended_stack(d) * weights[:, None, None]
-    mat = coeffs.copy()
-    mat[(slice(None),) + (0,) * n] = 1.0
-    for _ in range(n):
-        # consume the first party index after the stack axis, append its (row, col) digits
-        mat = np.tensordot(mat, basis, axes=([1], [0]))
+    count = coeffs.size // d ** (2 * n)
+    work = np.empty((d * d,) * n + (count,), dtype=complex)
+    work[...] = np.moveaxis(coeffs.reshape((count,) + (d * d,) * n), 0, -1)
+    work[(0,) * n] = 1.0
+    _, reverse = _pass_matrices(d)
+    mat = _party_steps(work, reverse, n)
+    # the steps leave (B, r1, c1, ..., rn, cn)
     order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
-    return mat.transpose(order).reshape(-1, d**n, d**n)
+    return mat.reshape((count,) + (d,) * (2 * n)).transpose(order).reshape(-1, d**n, d**n)
 
 
 def purity_from_decomposition(decomp: BlochDecomposition) -> float:

@@ -40,7 +40,8 @@ MAX_PARTIES = 4
 #: the d^n x d^n density matrix, or for n = 1 the d^2 local operators of
 #: d x d that the Bloch map contracts with. Larger sizes are refused before
 #: anything is allocated. The largest four-party size it admits is d = 8
-#: (a 256 MiB matrix); the Bloch pass over it holds a few arrays that large.
+#: (a 256 MiB matrix); the Bloch pass over it holds its input and two work
+#: arrays that large.
 MAX_DENSE_BYTES = 1 << 28
 
 

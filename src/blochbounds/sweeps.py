@@ -96,7 +96,7 @@ ROUND_TRIP_TOL = 1e-10
 #: allow, and at least one. That is 6 samples at d=3, n=4, 56 at d=3, n=3,
 #: 160 at d=2, n=4 and 1 at d=4, n=4. The transient arrays of a chunk take a
 #: small multiple of the budget, so the memory a sweep needs does not grow
-#: with ``count``: a d=3, n=4 pure sweep with every check peaks at 5.9 times
+#: with ``count``: a d=3, n=4 pure sweep with every check peaks at 5.8 times
 #: the budget (``tracemalloc``), where the separable members' three-party
 #: blocks are contracted while the samples' stack and coefficients are held.
 CHUNK_BYTES = 5 << 17

@@ -14,6 +14,9 @@ from the library's member draw. ``gram_matrix`` and ``validate_basis``
 check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
 holds state documents whose complex entries the parser must refuse, and
 ``MALFORMED_SHAPE_DOCS`` documents with a field of the wrong JSON type.
+``tensordot_coefficients`` and ``tensordot_rebuild`` are the Bloch pass as
+one ``np.tensordot`` per party, the reference the library's gemm pass must
+match bit for bit.
 """
 
 import itertools
@@ -29,6 +32,7 @@ from blochbounds import (
     from_ensemble,
     from_pure,
     full_decomposition,
+    generate_basis,
     haar_random_pure,
     norms_by_order,
     partial_trace,
@@ -115,6 +119,35 @@ def kron_bloch_tensor(mat, subset, generators, d, n):
         ops = [generators[picks[p]] if p in picks else eye for p in range(1, n + 1)]
         out[idx] = np.trace(mat @ reduce(np.kron, ops))
     return out
+
+
+def extended_basis(d):
+    """The (d**2, d, d) local basis of the Bloch pass: the identity, then the generators."""
+    return np.concatenate([np.eye(d, dtype=complex)[None], generate_basis(d).stacked()])
+
+
+def tensordot_coefficients(mats, d, n):
+    """``(B,) + (d**2,) * n`` coefficients of a stack: one tensordot per party, no residue guard."""
+    basis = extended_basis(d)
+    coeffs = mats.reshape((-1,) + (d,) * (2 * n))
+    for rows in range(n, 0, -1):
+        # axis 0 is the stack; the next party's row digit is axis 1, its column digit axis 1 + rows
+        coeffs = np.tensordot(coeffs, basis, axes=([1, 1 + rows], [2, 1]))
+    return coeffs.real
+
+
+def tensordot_rebuild(coeffs, d, n):
+    """The (B, d^n, d^n) matrices of a coefficient stack, trace entries taken as 1."""
+    weights = np.full(d * d, 0.5)
+    weights[0] = 1.0 / d
+    basis = extended_basis(d) * weights[:, None, None]
+    mat = coeffs.copy()
+    mat[(slice(None),) + (0,) * n] = 1.0
+    for _ in range(n):
+        # consume the first party index after the stack axis, append its (row, col) digits
+        mat = np.tensordot(mat, basis, axes=([1], [0]))
+    order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    return mat.transpose(order).reshape(-1, d**n, d**n)
 
 
 def ghz_norm_sq(d, n):

@@ -31,7 +31,15 @@ from blochbounds import (
     tensor_norm_sq,
     Ensemble,
 )
-from conftest import ghz_norm_sq, kron_bloch_tensor, loop_bloch_coefficient
+from blochbounds.bloch import _coefficients, _rebuild
+from blochbounds.sampling import _ginibre_densities, _haar_amplitudes
+from conftest import (
+    ghz_norm_sq,
+    kron_bloch_tensor,
+    loop_bloch_coefficient,
+    tensordot_coefficients,
+    tensordot_rebuild,
+)
 
 
 def maximally_mixed(d, n):
@@ -142,6 +150,49 @@ def test_contract_and_kron_paths_agree(d, n, seed):
         )
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize(
+    "d,n", [(2, 1), (3, 1), (2, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]
+)
+@pytest.mark.parametrize("kind", ["pure", "ginibre"])
+def test_gemm_pass_matches_tensordot_oracle_bit_for_bit(d, n, kind):
+    # both directions read their input and never write it: the inputs are read-only,
+    # and the rebuild is handed trace entries that are not 1
+    seeds = [11, 12, 13]
+    if kind == "pure":
+        amps = _haar_amplitudes(d, n, seeds)
+        mats = amps[:, :, None] * amps[:, None, :].conj()
+    else:
+        mats = _ginibre_densities(d, n, d**n, seeds)
+    mats = _read_only(mats)
+    coeffs = _coefficients(mats, d, n)
+    expected = tensordot_coefficients(mats, d, n)
+    assert coeffs.shape == (3,) + (d * d,) * n
+    assert np.array_equal(coeffs, expected)
+    skewed = expected.copy()
+    skewed[(slice(None),) + (0,) * n] = 0.5
+    skewed = _read_only(skewed)
+    assert np.array_equal(_rebuild(skewed, d, n), tensordot_rebuild(skewed, d, n))
+    assert np.array_equal(_rebuild(_read_only(coeffs), d, n), tensordot_rebuild(expected, d, n))
+
+
+def test_gemm_pass_counts_the_matrices_of_a_four_axis_stack():
+    # the separable blocks come as (count, rows, D, D); the pass flattens both leading axes
+    d, k = 3, 2
+    amps = _haar_amplitudes(d, k, list(range(6))).reshape(2, 3, d**k)
+    mats = _read_only(amps[..., :, None] * amps[..., None, :].conj())
+    coeffs = _coefficients(mats, d, k)
+    assert coeffs.shape == (6, d * d, d * d)
+    assert np.array_equal(coeffs, tensordot_coefficients(mats, d, k))
+    assert np.array_equal(coeffs, _coefficients(mats.reshape(6, d**k, d**k), d, k))
+    rebuilt = _rebuild(_read_only(coeffs.reshape(2, 3, d * d, d * d)), d, k)
+    assert np.array_equal(rebuilt, tensordot_rebuild(coeffs, d, k))
+
+
 def test_invalid_subsets_rejected():
     rho = maximally_mixed(2, 3)
     for bad in [(), (0,), (4,), (1, 1), (1.9, 2), (True, 2), ("1",)]:
@@ -163,6 +214,14 @@ def test_imaginary_residue_guard():
     rho = DensityMatrix(mat, 2, 1)
     with pytest.raises(ValueError, match="residue"):
         bloch_tensor(rho, (1,))
+
+
+def test_imaginary_residue_guard_refuses_nan():
+    # a NaN entry makes every coefficient it feeds NaN, and a NaN residue fails the guard
+    mat = np.eye(4, dtype=complex) / 4
+    mat[1, 2] = np.nan
+    with pytest.raises(ValueError, match="residue nan"):
+        _coefficients(mat[None], 2, 2)
 
 
 def test_marginal_consistency():

@@ -412,10 +412,10 @@ def test_reports_do_not_depend_on_chunking(capsys, monkeypatch, d, n, kind, coun
 
 
 def test_working_set_stays_a_small_multiple_of_the_chunk_budget():
-    # a d=3, n=4 pure sweep with every check peaks at about 5.9 x CHUNK_BYTES (see its
-    # comment), in the separable members' block contraction. Another array of a third of
-    # the samples' stack held at that point, such as a copy of their coefficients, pushes
-    # it past this multiple.
+    # a d=3, n=4 pure sweep with every check peaks at about 5.8 x CHUNK_BYTES (see its
+    # comment), in the separable members' block contraction. Another array of half the
+    # samples' stack held at that point, such as a copy of their coefficients, pushes it
+    # past this multiple.
     spec = SampleSpec(3, 4, PURE_HAAR, 8, 5)
     assert sweeps._chunk_size(spec) == 6
     run_sweep(spec)  # the cached bases and split orders are not part of a chunk
