@@ -32,7 +32,15 @@ from .bounds import (
 )
 from .serialize import BUILTIN_NAMES, _encode_complex, as_density, state_from_json, state_to_json
 from .states import DensityMatrix, as_pure, from_pure, purity
-from .sweeps import MIXED_GINIBRE, PURE_HAAR, SampleSpec, available_checks, run_sweep
+from .sweeps import (
+    BOUND_TOL,
+    MIXED_GINIBRE,
+    PURE_HAAR,
+    ROUND_TRIP_TOL,
+    SampleSpec,
+    available_checks,
+    run_sweep,
+)
 
 TOL_ENV_VAR = "BLOCHBOUNDS_TOL"
 
@@ -109,7 +117,7 @@ def _build_parser():
         help="comma-separated check names (default: all applicable); "
         f"known: {','.join(available_checks())}",
     )
-    _tol_argument(verify)
+    _tol_argument(verify, f"{BOUND_TOL}, {ROUND_TRIP_TOL} for reconstruction-round-trip")
     _format_argument(verify)
     verify.set_defaults(handler=_cmd_verify)
     return parser
@@ -119,11 +127,11 @@ def _format_argument(sub):
     sub.add_argument("--format", choices=("json", "text"), default="text")
 
 
-def _tol_argument(sub):
+def _tol_argument(sub, default=COMPARISON_TOL):
     sub.add_argument(
         "--tol",
         type=float,
-        help=f"comparison tolerance (default {COMPARISON_TOL}, or ${TOL_ENV_VAR})",
+        help=f"comparison tolerance (default {default}, or ${TOL_ENV_VAR})",
     )
 
 
@@ -132,7 +140,7 @@ def _state_arguments(sub):
     source.add_argument("--state", metavar="FILE", help="JSON state document")
     source.add_argument("--builtin", choices=BUILTIN_NAMES, help="inline builtin state")
     sub.add_argument("--d", type=int, help="local dimension (builtin only)")
-    sub.add_argument("--parties", type=int, help="party count (builtin ghz only)")
+    sub.add_argument("--parties", type=int, help="party count (builtin only; ghz needs it)")
     sub.add_argument("--x", type=float, help="mixing weight (builtin isotropic_ghz4 only)")
 
 
@@ -154,6 +162,9 @@ def _resolve_tol(args):
 
 def _load_state(args):
     if args.state is not None:
+        for flag, value in (("--d", args.d), ("--parties", args.parties), ("--x", args.x)):
+            if value is not None:
+                raise _CliError(f"{flag} applies to --builtin only, not to --state")
         with open(args.state, "r", encoding="utf-8") as handle:
             try:
                 return state_from_json(json.load(handle))
@@ -162,14 +173,17 @@ def _load_state(args):
     if args.d is None:
         raise _CliError("--builtin requires --d")
     obj = {"kind": "builtin", "name": args.builtin, "d": args.d, "params": {}}
-    if args.builtin == "ghz":
-        if args.parties is None:
-            raise _CliError("--builtin ghz requires --parties")
+    # the document rules which party counts a builtin takes
+    if args.parties is not None:
         obj["parties"] = args.parties
-    elif args.builtin == "isotropic_ghz4":
+    elif args.builtin == "ghz":
+        raise _CliError("--builtin ghz requires --parties")
+    if args.builtin == "isotropic_ghz4":
         if args.x is None:
             raise _CliError("--builtin isotropic_ghz4 requires --x")
         obj["params"]["x"] = args.x
+    elif args.x is not None:
+        raise _CliError("--x applies to --builtin isotropic_ghz4 only")
     return state_from_json(obj)
 
 

@@ -24,17 +24,16 @@ The draws are batched: each private ``_ginibre_densities`` /
 seeds, reads every seed's stream once and transforms the whole stack at
 once into raw arrays. The Haar and Ginibre draws read their uniforms with
 ``Generator.random``, two calls per seed; the separable draws decode the
-raw words themselves, since their split picks and block uniforms would
-take two ``Generator`` calls per member. Each class's stream has a fixed
-period (see ``_separable_draws``), so plain reshapes of the words find
-every value. They validate nothing: a public single-draw function is the same code at one
-seed, and its state's constructor validates the result, while a sweep
+raw words themselves, since the split picks and block uniforms of a
+mixture's ``SEPARABLE_MEMBERS`` members would take two ``Generator`` calls
+per member. Each class's stream has a fixed period (see
+``_separable_draws``), so plain reshapes of the words find every value.
+They validate nothing: a public single-draw function is the same code at
+one seed, and its state's constructor validates the result, while a sweep
 validates each chunk's draw where it draws it.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +54,8 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Pure members of each constructed separable mixture, unless a caller asks otherwise.
+#: Pure members of each constructed separable mixture: an even count, since
+#: one pick word holds the split picks of two members (see ``_separable_draws``).
 SEPARABLE_MEMBERS = 8
 
 #: Partitions of the four parties allowed within each separability class.
@@ -81,6 +81,17 @@ SEPARABLE_SPLITS = {
         ((3,), (4,), (1, 2)),
     ),
     "1-1-1-1": (((1,), (2,), (3,), (4,)),),
+}
+
+#: Per class, the party counts of its members' blocks, and per split the axis
+#: permutation that takes a four-party array built block by block in that
+#: split (one axis per party) to party order.
+_SPLIT_LAYOUTS = {
+    label: (
+        tuple(len(block) for block in splits[0]),
+        tuple(tuple(np.argsort([p for block in split for p in block]).tolist()) for split in splits),
+    )
+    for label, splits in SEPARABLE_SPLITS.items()
 }
 
 
@@ -199,26 +210,6 @@ def haar_random_unitary(dim, seed) -> np.ndarray:
     return q * phases
 
 
-@lru_cache(maxsize=None)
-def _split_layout(d, label):
-    """Block party counts of one class's members, and each split's party order.
-
-    ``orders[s]`` is the axis permutation that takes a four-party array
-    built block by block in split ``s`` (one axis per party) to party
-    order, and ``perms[s]`` is the same permutation on the flat indices of
-    a four-party vector of ``d`` entries per party, so that
-    ``outer[..., perms[s]]`` reorders a product vector built block by block.
-    """
-    splits = SEPARABLE_SPLITS[label]
-    orders = tuple(
-        tuple(map(int, np.argsort([p for block in split for p in block]))) for split in splits
-    )
-    block_index = np.arange(d**4).reshape((d,) * 4)
-    perms = np.stack([block_index.transpose(order).reshape(-1) for order in orders])
-    perms.setflags(write=False)
-    return tuple(len(block) for block in splits[0]), orders, perms
-
-
 def _lemire_picks(halves, splits):
     """Picks among ``splits`` choices from 32-bit halves, as ``Generator.integers`` makes them.
 
@@ -231,51 +222,51 @@ def _lemire_picks(halves, splits):
     return (scaled >> np.uint64(32)).astype(np.intp), (scaled & _MASK32) < threshold
 
 
-def _read_members(d, label, seed, members):
+def _read_members(d, label, seed):
     """One class's member picks and uniforms from one stream, read call by call.
 
     The reference of the decode in ``_separable_draws``, through
     ``np.random.Generator``; a draw whose pick Lemire's rule rejects leaves
     the stream's fixed period and is read this way. Returns the
-    ``(members,)`` picks and the ``(members, 2 * sum of d**k)`` uniforms.
+    ``(SEPARABLE_MEMBERS,)`` picks and the ``(SEPARABLE_MEMBERS, 2 * sum of
+    d**k)`` uniforms.
     """
     rng = _generator(seed)
-    rng.random(members - 1)
-    reads = 2 * sum(d**k for k in _split_layout(d, label)[0])
-    picks = np.empty(members, dtype=np.intp)
-    uniforms = np.empty((members, reads))
-    for m in range(members):
+    rng.random(SEPARABLE_MEMBERS - 1)
+    reads = 2 * sum(d**k for k in _SPLIT_LAYOUTS[label][0])
+    picks = np.empty(SEPARABLE_MEMBERS, dtype=np.intp)
+    uniforms = np.empty((SEPARABLE_MEMBERS, reads))
+    for m in range(SEPARABLE_MEMBERS):
         picks[m] = rng.integers(len(SEPARABLE_SPLITS[label]))
         uniforms[m] = rng.random(reads)
     return picks, uniforms
 
 
-def _separable_draws(d, labels, seeds, members):
+def _separable_draws(d, labels, seeds):
     """The members of separable mixtures of each class in ``labels``, one mixture per seed.
 
-    Each class reads a seed's stream from its start: the ``members - 1``
-    simplex cuts, the same for every class, then per member ``R = 2 * sum
-    of d**k`` uniforms (per block the radii, then the angles). A class of
-    one split reads no pick; any other class reads in periods of ``1 + 2 R``
-    words, a pick word (its low half for an even member, its high half for
-    the next) and two members' uniforms. With an odd ``members`` the last
-    period's second read is decoded and dropped, which leaves the
-    counter-based stream as it is. A class whose pick Lemire's rule rejects
-    on some seed is read again there by ``_read_members``. All k-party
-    blocks go through one Box-Muller transform and are normalized as one
-    stack per ``k``.
+    Each class reads a seed's stream from its start: the ``M - 1`` simplex
+    cuts of its ``M = SEPARABLE_MEMBERS`` members, the same for every
+    class, then per member ``R = 2 * sum of d**k`` uniforms (per block the
+    radii, then the angles). A class of one split reads no pick; any other
+    class reads ``M / 2`` periods of ``1 + 2 R`` words, a pick word (its
+    low half for an even member, its high half for the next) and two
+    members' uniforms. A class whose pick Lemire's rule rejects on some
+    seed is read again there by ``_read_members``. All k-party blocks go
+    through one Box-Muller transform and are normalized as one stack per
+    ``k``.
 
-    Returns the ``(B, members)`` weights, the ``(B, len(labels), members)``
-    split picks (an index into ``SEPARABLE_SPLITS[label]``), per ``k`` the
-    normalized vectors of every class's k-party blocks as one ``(B, rows,
-    d**k)`` stack, and per class the ``(k, start)`` of each block: its
-    members are rows ``start`` to ``start + members`` of the k-party stack.
-    See ``random_separable``.
+    Returns the ``(B, M)`` weights, the ``(B, len(labels), M)`` split picks
+    (an index into ``SEPARABLE_SPLITS[label]``), per ``k`` the normalized
+    vectors of every class's k-party blocks as one ``(B, rows, d**k)``
+    stack, and per class the ``(k, start)`` of each block: its members are
+    rows ``start`` to ``start + M`` of the k-party stack. See
+    ``random_separable``.
     """
-    count = len(seeds)
-    periods = -(-members // 2)
-    reads = [2 * sum(d**k for k in _split_layout(d, label)[0]) for label in labels]
-    # a class without picks reads members * r <= periods * (1 + 2 * r) words
+    count, members = len(seeds), SEPARABLE_MEMBERS
+    periods = members // 2
+    reads = [2 * sum(d**k for k in _SPLIT_LAYOUTS[label][0]) for label in labels]
+    # a class without picks reads members * r < periods * (1 + 2 * r) words
     width = members - 1 + periods * (1 + 2 * max(reads))
     words = np.stack([np.random.Philox(key=seed).random_raw(width) for seed in seeds])
     cuts = np.sort(_uniforms(words[:, : members - 1]), axis=-1)
@@ -288,15 +279,15 @@ def _separable_draws(d, labels, seeds, members):
         if splits > 1:
             period = body[:, : periods * (1 + 2 * r)].reshape(count, periods, 1 + 2 * r)
             halves = np.stack([period[..., 0] & _MASK32, period[..., 0] >> np.uint64(32)], axis=-1)
-            picks[:, c], rejected = _lemire_picks(halves.reshape(count, -1)[:, :members], splits)
-            uniforms = _uniforms(period[..., 1:]).reshape(count, -1, r)[:, :members]
+            picks[:, c], rejected = _lemire_picks(halves.reshape(count, members), splits)
+            uniforms = _uniforms(period[..., 1:]).reshape(count, members, r)
             for row in np.nonzero(rejected.any(axis=-1))[0]:
-                picks[row, c], uniforms[row] = _read_members(d, label, seeds[row], members)
+                picks[row, c], uniforms[row] = _read_members(d, label, seeds[row])
         else:
             uniforms = _uniforms(body[:, : members * r]).reshape(count, members, r)
         offset = 0
         class_slots = []
-        for k in _split_layout(d, label)[0]:
+        for k in _SPLIT_LAYOUTS[label][0]:
             group = groups.setdefault(k, [])
             class_slots.append((k, members * len(group)))
             group.append(uniforms[..., offset : offset + 2 * d**k].reshape(count, members, 2, d**k))
@@ -311,47 +302,33 @@ def _separable_draws(d, labels, seeds, members):
     return weights, picks, stacks, tuple(slots)
 
 
-def _separable_members(d, label, seeds, members):
-    """One class's members: ``(B, members)`` weights and picks, and its blocks' vectors.
-
-    The blocks come as one ``(B, members, d**k)`` array per block, in
-    block order; see ``_separable_draws``.
-    """
-    weights, picks, stacks, slots = _separable_draws(d, (label,), seeds, members)
-    return weights, picks[:, 0], [stacks[k][:, start : start + members] for k, start in slots[0]]
-
-
-def _check_separable(d, label, seed, members):
-    """``(d, seed, members)`` of one separable draw, validated; see ``random_separable``."""
+def _check_separable(d, label, seed):
+    """``(d, seed)`` of one separable draw, validated; see ``random_separable``."""
     if label not in SEPARABLE_SPLITS:
         raise ValueError(f"unknown separability class {label!r}")
-    members = _check_int(members, "members")
-    if members < 1:
-        raise ValueError("members must be at least 1")
     d, _ = _check_dims(d, 4)
-    if 16 * members * d**6 > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"members={members} at d={d} needs {16 * members * d**6} bytes of three-party "
-            f"block projectors, above the cap of {MAX_DENSE_BYTES} bytes"
-        )
-    return d, _check_seed(seed), members
+    return d, _check_seed(seed)
 
 
-def random_separable(d, label, seed, members: int = SEPARABLE_MEMBERS) -> DensityMatrix:
+def random_separable(d, label, seed) -> DensityMatrix:
     """Random four-party mixture of product states from one separability class.
 
-    Each of the ``members`` pure members picks one partition allowed by the
-    class (see ``SEPARABLE_SPLITS``) and independent Haar factors on its
-    blocks; the mixture weights are uniform on the simplex. The result is a
-    genuinely mixed member of the class, not just a pure product state.
-    ``sweeps.separable_tensor`` gives the four-party tensor of the same
-    draw without forming the matrix.
+    Each of the ``SEPARABLE_MEMBERS`` pure members picks one partition
+    allowed by the class (see ``SEPARABLE_SPLITS``) and independent Haar
+    factors on its blocks; the mixture weights are uniform on the simplex.
+    The result is a genuinely mixed member of the class, not just a pure
+    product state. ``sweeps.separable_tensor`` gives the four-party tensor
+    of the same draw without forming the matrix.
     """
-    d, seed, members = _check_separable(d, label, seed, members)
-    weights, picks, blocks = _separable_members(d, label, [seed], members)
+    d, seed = _check_separable(d, label, seed)
+    weights, picks, stacks, slots = _separable_draws(d, (label,), [seed])
+    blocks = [stacks[k][0, start : start + SEPARABLE_MEMBERS] for k, start in slots[0]]
     vectors = blocks[0]
     for block in blocks[1:]:
-        vectors = (vectors[..., :, None] * block[..., None, :]).reshape(1, members, -1)
-    vectors = np.take_along_axis(vectors, _split_layout(d, label)[2][picks], axis=-1)
-    mixture = (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
-    return DensityMatrix(mixture[0], d, 4)
+        vectors = (vectors[:, :, None] * block[:, None, :]).reshape(SEPARABLE_MEMBERS, -1)
+    # each member's product vector, built block by block, in party order
+    orders = _SPLIT_LAYOUTS[label][1]
+    vectors = np.stack(
+        [v.reshape((d,) * 4).transpose(orders[s]).reshape(-1) for v, s in zip(vectors, picks[0, 0])]
+    )
+    return DensityMatrix((vectors.T * weights[0]) @ vectors.conj(), d, 4)

@@ -149,7 +149,7 @@ def _purities(mats):
 
 
 def _check_densities(mats):
-    """Validate a (B, dim, dim) stack of density matrices; returns their purities.
+    """Validate a (B, dim, dim) stack of density matrices.
 
     Every matrix must be finite, Hermitian, of unit trace, positive
     semidefinite and of purity in [1/dim, 1], each within ``atol =
@@ -188,7 +188,6 @@ def _check_densities(mats):
     bad = ~((1.0 / dim - DEFAULT_ATOL <= purities) & (purities <= 1.0 + DEFAULT_ATOL))
     if bad.any():
         raise ValueError(f"purity {float(purities[bad.argmax()])!r} lies outside [1/{dim}, 1]")
-    return purities
 
 
 class PureState:

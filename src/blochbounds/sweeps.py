@@ -11,12 +11,13 @@ same bytes for a fixed spec whatever the chunking. A NaN observation makes
 its check's maximum NaN, and a NaN maximum fails the check.
 
 A chunk validates what it draws, once, where it draws it: the amplitude
-rows of pure samples, the matrices of mixed ones, and the members of the
-``separable-*`` classes (their weights, and their block vectors as one
-stack per block size for all classes). What the sweep derives from them
-(marginals, reconstructions) is measured by its check and never
-validated again: a derived value that breaks shows as a failing or NaN
-check value naming its sample, not as an input error.
+rows of pure samples, the matrices of mixed ones, and the
+``SEPARABLE_MEMBERS`` members of each ``separable-*`` class's mixtures
+(their weights, and their block vectors as one stack per block size for
+all classes). What the sweep derives from them (marginals,
+reconstructions) is measured by its check and never validated again: a
+derived value that breaks shows as a failing or NaN check value naming
+its sample, not as an input error.
 Separable mixtures are never formed as matrices; their four-party tensor
 is assembled from the members' block tensors (``separable_tensor``), and a
 chunk keeps only its squared norms.
@@ -50,12 +51,12 @@ from .bounds import (
 )
 from .sampling import (
     SEPARABLE_MEMBERS,
+    _SPLIT_LAYOUTS,
     _check_separable,
     _check_seed,
     _ginibre_densities,
     _haar_amplitudes,
     _separable_draws,
-    _split_layout,
     sample_seed,
 )
 from .states import (
@@ -99,6 +100,9 @@ ROUND_TRIP_TOL = 1e-10
 #: with ``count``: a d=3, n=4 pure sweep with every check peaks at 5.8 times
 #: the budget (``tracemalloc``), where the separable members' three-party
 #: blocks are contracted while the samples' stack and coefficients are held.
+#: A d=2, n=4 sweep, pure or mixed, peaks at 13.1 times it (8.6 MB at 160
+#: samples): the budget does not count the separable draws of a chunk's
+#: samples, 88 block vectors each, their projectors and coefficients.
 CHUNK_BYTES = 5 << 17
 
 
@@ -192,8 +196,8 @@ class _Chunk:
 
     Building ``rho`` validates what the chunk draws, once: the amplitude
     rows of a pure-haar chunk (the projectors of valid vectors are valid
-    states), the matrices of a mixed one. It keeps the purities of the
-    stack as ``purities``. Nothing derived from ``rho`` is validated again.
+    states), the matrices of a mixed one. Nothing derived from ``rho``
+    (``purities`` among it) is validated again.
     ``separable`` holds the four-party squared norms of the constructed
     mixtures of every class in ``labels``, drawn together, not their tensors.
     """
@@ -209,12 +213,14 @@ class _Chunk:
         if self.spec.kind == PURE_HAAR:
             amps = _haar_amplitudes(d, n, self.seeds)
             _check_amplitudes(amps)
-            rho = _projectors(amps)
-            self.purities = _purities(rho)
-        else:
-            rho = self.spec._draw(self.seeds)
-            self.purities = _check_densities(rho)
+            return _projectors(amps)
+        rho = self.spec._draw(self.seeds)
+        _check_densities(rho)
         return rho
+
+    @cached_property
+    def purities(self):
+        return _purities(self.rho)
 
     @cached_property
     def coeffs(self):
@@ -230,7 +236,7 @@ class _Chunk:
 
     @cached_property
     def separable(self):
-        tensors = _separable_tensors(self.spec.local_dim, self.labels, self.seeds, SEPARABLE_MEMBERS)
+        tensors = _separable_tensors(self.spec.local_dim, self.labels, self.seeds)
         return {label: _squared_norms(tensor) for label, tensor in tensors.items()}
 
 
@@ -240,7 +246,6 @@ def _max_order_norm(ctx, size):
 
 def _purity_gap(ctx):
     d, n = ctx.spec.local_dim, ctx.spec.num_parties
-    # ctx.norms builds and validates ctx.rho, which sets ctx.purities
     return np.abs(_purity_from_norms(d, n, ctx.norms) - ctx.purities)
 
 
@@ -273,7 +278,7 @@ def _round_trip_error(ctx):
     return np.linalg.norm(rebuilt, axis=(-2, -1))
 
 
-def _separable_tensors(d, labels, seeds, members):
+def _separable_tensors(d, labels, seeds):
     """Flat ``T^(1234)`` of constructed separable mixtures: class -> one row per seed.
 
     The members of all classes in ``labels`` are drawn together and
@@ -287,9 +292,9 @@ def _separable_tensors(d, labels, seeds, members):
     weights of the members that picked split ``s``. No ``d^4 x d^4``
     matrix is formed.
     """
-    weights, picks, stacks, slots = _separable_draws(d, labels, seeds, members)
+    weights, picks, stacks, slots = _separable_draws(d, labels, seeds)
     _check_weights(weights)
-    count = len(seeds)
+    count, members = len(seeds), SEPARABLE_MEMBERS
     block_tensors = {}
     for k, stack in stacks.items():
         _check_amplitudes(stack.reshape(-1, d**k))
@@ -302,7 +307,7 @@ def _separable_tensors(d, labels, seeds, members):
         for block in blocks[1:-1]:
             head = (head[..., :, None] * block[..., None, :]).reshape(count, members, -1)
         total = np.zeros((count,) + (d * d - 1,) * 4)
-        for split, order in enumerate(_split_layout(d, label)[1]):
+        for split, order in enumerate(_SPLIT_LAYOUTS[label][1]):
             picked = np.where(picks[:, c] == split, weights, 0.0)
             mixed = (head * picked[..., None]).swapaxes(-1, -2) @ blocks[-1]
             total += mixed.reshape(total.shape).transpose(0, *(1 + axis for axis in order))
@@ -310,15 +315,15 @@ def _separable_tensors(d, labels, seeds, members):
     return tensors
 
 
-def separable_tensor(d, label, seed, members: int = SEPARABLE_MEMBERS) -> BlochTensor:
-    """``T^(1234)`` of ``random_separable(d, label, seed, members)``, from its member blocks.
+def separable_tensor(d, label, seed) -> BlochTensor:
+    """``T^(1234)`` of ``random_separable(d, label, seed)``, from its member blocks.
 
     The same code the ``separable-*`` sweep checks run on a chunk, at one
     seed and one class: ``tensor_norm_sq(separable_tensor(d, label,
     worst_seed))`` is such a check's ``max_observed``, bit for bit.
     """
-    d, seed, members = _check_separable(d, label, seed, members)
-    row = _separable_tensors(d, (label,), [seed], members)[label][0]
+    d, seed = _check_separable(d, label, seed)
+    row = _separable_tensors(d, (label,), [seed])[label][0]
     return BlochTensor((1, 2, 3, 4), d, row)
 
 

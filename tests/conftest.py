@@ -10,7 +10,7 @@ the library's batched member decode), and ``oracle_sample_value``
 evaluates a sweep check on one sample with the public single-state
 functions. ``separable_densities`` is the dense route
 of the separable checks: it forms every mixture as a ``d^4 x d^4`` matrix
-from the library's member draw. ``gram_matrix`` and ``validate_basis``
+from the call-by-call member reads. ``gram_matrix`` and ``validate_basis``
 check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
 holds state documents whose complex entries the parser must refuse, and
 ``MALFORMED_SHAPE_DOCS`` documents with a field of the wrong JSON type.
@@ -47,7 +47,6 @@ from blochbounds import (
     separable_tensor,
     tensor_norm_sq,
 )
-from blochbounds.sampling import _separable_members, _split_layout
 
 
 def flat_index(digits, d):
@@ -234,7 +233,7 @@ def single_separable_matrix(d, label, seed, members=8):
 def single_separable_members(d, label, seeds, members=8):
     """The members of separable mixtures, read call by call through a ``Generator`` per seed.
 
-    The reference of the library's raw-word decode (``_separable_members``):
+    The reference of the library's raw-word decode (``_separable_draws``):
     per seed the stream gives the simplex cuts, then per member
     ``rng.integers`` for its split and ``rng.random`` for the uniforms of
     its blocks in block order (radii, then angles, per block). Returns the
@@ -265,17 +264,24 @@ def single_separable_members(d, label, seeds, members=8):
     return weights, picks, blocks
 
 
-def separable_densities(d, label, seeds, members=8):
-    """The dense separable mixtures of the library's member draw, one per seed.
+def separable_densities(d, label, seeds):
+    """The dense separable mixtures of ``single_separable_members``, one per seed.
 
-    Every member's product vector is formed in party order and the
-    weighted projectors are summed into a ``(B, d^4, d^4)`` stack.
+    Every member's product vector is built block by block and gathered
+    into party order, and the weighted projectors are summed into a
+    ``(B, d^4, d^4)`` stack.
     """
-    weights, picks, blocks = _separable_members(d, label, seeds, members)
+    weights, picks, blocks = single_separable_members(d, label, seeds)
     vectors = blocks[0]
     for block in blocks[1:]:
-        vectors = (vectors[..., :, None] * block[..., None, :]).reshape(len(seeds), members, -1)
-    vectors = np.take_along_axis(vectors, _split_layout(d, label)[2][picks], axis=-1)
+        vectors = (vectors[..., :, None] * block[..., None, :]).reshape(weights.shape + (-1,))
+    # per split, the flat block-by-block index of each party-order entry
+    block_index = np.arange(d**4).reshape((d,) * 4)
+    gathers = np.stack([
+        block_index.transpose(np.argsort([p for block in split for p in block])).reshape(-1)
+        for split in SEPARABLE_SPLITS[label]
+    ])
+    vectors = np.take_along_axis(vectors, gathers[picks], axis=-1)
     return (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()
 
 

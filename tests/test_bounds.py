@@ -33,7 +33,7 @@ from blochbounds import (
     DensityMatrix,
     PureState,
 )
-from conftest import ghz_norm_sq
+from conftest import ghz_norm_sq, single_separable_matrix
 
 
 def test_bound_table_d2():
@@ -371,7 +371,7 @@ def test_pure_products_respect_their_threshold(label):
     # single-member mixtures are pure product states of the class
     threshold = separability_thresholds(2).for_class(label)
     for seed in range(25):
-        rho = random_separable(2, label, seed=1300 + seed, members=1)
+        rho = DensityMatrix(single_separable_matrix(2, label, 1300 + seed, members=1), 2, 4)
         norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
         assert norm_sq <= threshold + 1e-9
 

@@ -525,6 +525,53 @@ def test_state_and_builtin_are_mutually_exclusive(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--builtin", "product_max_entangled", "--d", "2", "--parties", "3"], "always 4-party"),
+        (["--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5", "--parties", "2"], "always 4-party"),
+        (["--builtin", "ghz", "--d", "2", "--parties", "4", "--x", "0.5"], "--x applies to"),
+        (["--builtin", "product_max_entangled", "--d", "2", "--x", "0.5"], "--x applies to"),
+        (["--state", "s.json", "--d", "2"], "--d applies to --builtin only"),
+        (["--state", "s.json", "--parties", "4"], "--parties applies to --builtin only"),
+        (["--state", "s.json", "--x", "0.5"], "--x applies to --builtin only"),
+    ],
+    ids=["pme-parties", "iso-parties", "ghz-x", "pme-x", "state-d", "state-parties", "state-x"],
+)
+def test_state_flags_the_state_does_not_take_exit_two(capsys, tmp_path, monkeypatch, argv, message):
+    # a flag is refused, never dropped: the same documents given as --state exit 2 too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(state_to_json(isotropic_ghz4(0.5, 2))))
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--builtin", "product_max_entangled", "--d", "2"],
+        ["--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5"],
+    ],
+    ids=["pme", "iso"],
+)
+def test_four_parties_are_forwarded_to_the_four_party_builtins(capsys, argv):
+    code, plain, _ = run_cli(capsys, "classify", *argv)
+    assert code == 0
+    code, forwarded, _ = run_cli(capsys, "classify", *argv, "--parties", "4")
+    assert code == 0 and forwarded == plain
+
+
+def test_verify_help_names_both_tolerance_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # no wrap inside the hyphenated check name
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default 1e-09, 1e-10 for reconstruction-round-trip, or $BLOCHBOUNDS_TOL)" in text
+
+
 def test_text_and_json_report_identical_values(capsys):
     args = ("classify", "--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.7")
     code, report, _ = run_json(capsys, *args)

@@ -227,16 +227,15 @@ def test_random_separable_is_a_valid_state(label):
 def test_random_separable_rejects_unknown_class():
     with pytest.raises(ValueError):
         random_separable(2, "3-1", seed=1)
-    with pytest.raises(ValueError):
-        random_separable(2, "1-3", seed=1, members=0)
 
 
-def test_separable_members_are_capped_by_their_block_projectors():
-    # refused before anything is drawn; the default passes at every admitted d
-    with pytest.raises(ValueError, match="members=1099511627776 at d=2 .* above the cap"):
-        random_separable(2, "1-3", seed=1, members=2**40)
+def test_separable_draws_admit_every_four_party_dimension():
+    # the members' block projectors, 16 * 8 * d**6 bytes at most, stay within the dense
+    # cap wherever the four-party state does
     for d in range(2, 9):
-        assert sampling._check_separable(d, "1-3", 0, SEPARABLE_MEMBERS)[2] == SEPARABLE_MEMBERS
+        assert sampling._check_separable(d, "1-3", 0) == (d, 0)
+    with pytest.raises(ValueError, match="above the cap"):
+        sampling._check_separable(9, "1-3", 0)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 4), (4, 2)])
@@ -271,6 +270,13 @@ def test_batched_separable_mixtures_match_member_by_member_assembly(d, label):
 SEPARABLE_SEEDS = [0, 2**64 - 1, sample_seed(3, 0), sample_seed(3, 1), sample_seed(3, 2)]
 
 
+def _class_members(draws, c):
+    """Class ``c``'s weights, picks and block vectors out of a ``_separable_draws`` result."""
+    weights, picks, stacks, slots = draws
+    members = [stacks[k][:, start : start + SEPARABLE_MEMBERS] for k, start in slots[c]]
+    return weights, picks[:, c], members
+
+
 def _assert_members_equal(members_a, members_b):
     weights_a, picks_a, blocks_a = members_a
     weights_b, picks_b, blocks_b = members_b
@@ -281,20 +287,17 @@ def _assert_members_equal(members_a, members_b):
         np.testing.assert_array_equal(block_a, block_b)
 
 
-@pytest.mark.parametrize("members", [1, 2, 3, 8])
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_separable_members_decode_the_call_by_call_reads(d, members):
+def test_separable_members_decode_the_call_by_call_reads(d):
     # the raw-word decode reads what Generator.random/integers read, bit for bit,
     # for one class alone and for all four classes drawn from one stream read
     labels = tuple(SEPARABLE_SPLITS)
-    weights, picks, stacks, slots = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, members)
+    together = sampling._separable_draws(d, labels, SEPARABLE_SEEDS)
     for c, label in enumerate(labels):
-        expected = single_separable_members(d, label, SEPARABLE_SEEDS, members)
-        _assert_members_equal(
-            sampling._separable_members(d, label, SEPARABLE_SEEDS, members), expected
-        )
-        together = [stacks[k][:, start : start + members] for k, start in slots[c]]
-        _assert_members_equal((weights, picks[:, c], together), expected)
+        expected = single_separable_members(d, label, SEPARABLE_SEEDS)
+        alone = sampling._separable_draws(d, (label,), SEPARABLE_SEEDS)
+        _assert_members_equal(_class_members(alone, 0), expected)
+        _assert_members_equal(_class_members(together, c), expected)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -309,20 +312,19 @@ def test_rejected_picks_are_read_again_call_by_call(monkeypatch, d):
         picks, _ = lemire_picks(halves, splits)
         return np.full_like(picks, -1), np.ones(picks.shape, dtype=bool)
 
-    def reading(d, label, seed, members):
+    def reading(d, label, seed):
         reads.append((label, seed))
-        return read_members(d, label, seed, members)
+        return read_members(d, label, seed)
 
     monkeypatch.setattr(sampling, "_lemire_picks", rejecting)
     monkeypatch.setattr(sampling, "_read_members", reading)
     labels = tuple(SEPARABLE_SPLITS)
-    weights, picks, stacks, slots = sampling._separable_draws(d, labels, SEPARABLE_SEEDS, 8)
+    draws = sampling._separable_draws(d, labels, SEPARABLE_SEEDS)
     picking = [label for label in labels if len(SEPARABLE_SPLITS[label]) > 1]
     assert sorted(reads) == sorted((label, seed) for label in picking for seed in SEPARABLE_SEEDS)
     for c, label in enumerate(labels):
         _assert_members_equal(
-            (weights, picks[:, c], [stacks[k][:, start : start + 8] for k, start in slots[c]]),
-            single_separable_members(d, label, SEPARABLE_SEEDS, 8),
+            _class_members(draws, c), single_separable_members(d, label, SEPARABLE_SEEDS)
         )
 
 

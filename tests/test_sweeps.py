@@ -8,7 +8,6 @@ from blochbounds import sweeps
 from blochbounds import (
     MIXED_GINIBRE,
     PURE_HAAR,
-    SEPARABLE_MEMBERS,
     SEPARABLE_SPLITS,
     DensityMatrix,
     SampleSpec,
@@ -341,7 +340,7 @@ def test_separable_tensor_matches_the_dense_mixture(d, label):
 def test_separable_tensor_is_the_batched_row():
     # the sweep draws all four classes of a chunk together; each row replays alone
     seeds = [sample_seed(9, i) for i in range(5)]
-    tensors = sweeps._separable_tensors(3, tuple(SEPARABLE_SPLITS), seeds, SEPARABLE_MEMBERS)
+    tensors = sweeps._separable_tensors(3, tuple(SEPARABLE_SPLITS), seeds)
     for label, rows in tensors.items():
         for row, seed in zip(rows, seeds):
             np.testing.assert_array_equal(row, separable_tensor(3, label, seed).coefficients)
@@ -351,12 +350,11 @@ def test_separable_tensor_is_the_batched_row():
     "args, match",
     [
         ((2, "3-1", 0), "unknown separability class"),
-        ((2, "1-3", 0, 0), "members must be at least 1"),
-        ((2, "1-3", 0, 2.5), "must be an integer"),
+        ((2, "1-3", 2**64), "must be an integer in 0.."),
+        ((2, "1-3", 2.5), "seed must be an integer, got 2.5"),
         ((2, "1-3", -1), "seed must be an integer"),
         ((2.5, "1-3", 0), "must be an integer"),
         ((1000, "1-3", 0), "above the cap"),
-        ((2, "1-3", 0, 2**40), "members=1099511627776 at d=2 .* above the cap"),
     ],
 )
 def test_separable_tensor_rejects_bad_arguments(args, match):
@@ -415,14 +413,19 @@ def test_working_set_stays_a_small_multiple_of_the_chunk_budget():
     # a d=3, n=4 pure sweep with every check peaks at about 5.8 x CHUNK_BYTES (see its
     # comment), in the separable members' block contraction. Another array of half the
     # samples' stack held at that point, such as a copy of their coefficients, pushes it
-    # past this multiple.
-    spec = SampleSpec(3, 4, PURE_HAAR, 8, 5)
-    assert sweeps._chunk_size(spec) == 6
-    run_sweep(spec)  # the cached bases and split orders are not part of a chunk
-    tracemalloc.start()
-    try:
-        run_sweep(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6.25 * sweeps.CHUNK_BYTES
+    # past this multiple. At d=2, n=4 the chunk's 160 samples draw 160 x 8 members per
+    # class, whose blocks the budget does not count: the peak is about 13.1 x, pinned
+    # here so that it cannot grow unnoticed.
+    for spec, size, multiple in (
+        (SampleSpec(3, 4, PURE_HAAR, 8, 5), 6, 6.25),
+        (SampleSpec(2, 4, PURE_HAAR, 170, 5), 160, 13.5),
+    ):
+        assert sweeps._chunk_size(spec) == size
+        run_sweep(spec)  # the cached bases are not part of a chunk
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < multiple * sweeps.CHUNK_BYTES, spec
