@@ -144,8 +144,8 @@ def _state_arguments(sub):
     sub.add_argument("--x", type=float, help="mixing weight (builtin isotropic_ghz4 only)")
 
 
-def _resolve_tol(args):
-    tol = getattr(args, "tol", None)
+def _resolve_tol(args, default=None):
+    tol = args.tol
     if tol is None:
         raw = os.environ.get(TOL_ENV_VAR)
         if raw is not None:
@@ -154,7 +154,7 @@ def _resolve_tol(args):
             except ValueError:
                 raise _CliError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
     if tol is None:
-        return None
+        return default
     if not 0 < tol < math.inf:
         raise _CliError(f"tolerance must be positive and finite, got {tol}")
     return tol
@@ -248,8 +248,7 @@ def _cmd_bounds(args):
 
 def _cmd_classify(args):
     rho = as_density(_load_state(args))
-    tol = _resolve_tol(args)
-    report = classify(rho, tol) if tol is not None else classify(rho)
+    report = classify(rho, _resolve_tol(args, COMPARISON_TOL))
     return {
         "d": report.local_dim,
         "norm_sq_1234": report.norm_sq_1234,
@@ -283,8 +282,7 @@ def _cmd_measure(args):
 
 def _cmd_tradeoff(args):
     rho = as_density(_load_state(args))
-    tol = _resolve_tol(args)
-    result = tradeoff_check(rho, tol) if tol is not None else tradeoff_check(rho)
+    result = tradeoff_check(rho, _resolve_tol(args, COMPARISON_TOL))
     return {
         "d": rho.local_dim,
         "sum_sq": result.sum_sq,
@@ -370,27 +368,17 @@ def _is_scalar_list(value):
 
 def _render_text(obj, indent=0):
     pad = "  " * indent
-    lines = []
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, dict) or (
-                isinstance(value, list) and not _is_scalar_list(value)
-            ):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_inline(value)}")
-    elif isinstance(obj, list):
-        for item in obj:
-            if isinstance(item, dict) or (
-                isinstance(item, list) and not _is_scalar_list(item)
-            ):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_inline(item)}")
+        pairs = [(f"{key}:", value) for key, value in obj.items()]
     else:
-        lines.append(f"{pad}{_inline(obj)}")
+        pairs = [("-", item) for item in obj]
+    lines = []
+    for label, value in pairs:
+        if isinstance(value, dict) or (isinstance(value, list) and not _is_scalar_list(value)):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_inline(value)}")
     return lines
 
 

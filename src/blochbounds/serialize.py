@@ -9,9 +9,10 @@ matrices are dense and row-major.
     {"d": 2, "parties": 4, "kind": "matrix",   "matrix": [[[re, im], ...], ...]}
     {"d": 2, "kind": "builtin", "name": "isotropic_ghz4", "params": {"x": 0.7}}
 
-Builtin names: ``ghz`` (needs ``parties``), ``isotropic_ghz4`` (needs
+Builtin names: ``ghz`` (needs ``parties`` or ``params.parties``, and
+both must agree when both are given), ``isotropic_ghz4`` (needs
 ``params.x``) and ``product_max_entangled``; the latter two are always
-four-party.
+four-party. A ``params`` key its builtin does not read is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from . import states
 
 __all__ = ["BUILTIN_NAMES", "state_from_json", "state_to_json", "as_density"]
 
-BUILTIN_NAMES = ("ghz", "isotropic_ghz4", "product_max_entangled")
+_BUILTIN_PARAMS = {"ghz": ("parties",), "isotropic_ghz4": ("x",), "product_max_entangled": ()}
+BUILTIN_NAMES = tuple(_BUILTIN_PARAMS)
 
 
 def _require(obj, key):
@@ -96,11 +98,17 @@ def _builtin_state(obj):
     params = {} if obj.get("params") is None else obj["params"]
     if not isinstance(params, dict):
         raise ValueError("builtin params must be a JSON object")
+    for key in params:
+        if key not in _BUILTIN_PARAMS[name]:
+            raise ValueError(f"builtin {name!r} takes no parameter {key!r}")
     d = _require(obj, "d")
     if name == "ghz":
         n = obj.get("parties", params.get("parties"))
         if n is None:
             raise ValueError("builtin 'ghz' needs a party count")
+        counts = {states._check_int(c, "party count") for c in (n, params.get("parties", n))}
+        if len(counts) > 1:
+            raise ValueError(f"builtin 'ghz' has parties {n} but params.parties {params['parties']}")
         return states.ghz(d, n)
     if name == "isotropic_ghz4":
         if "x" not in params:

@@ -143,6 +143,12 @@ def _check_weights(weights):
         )
 
 
+def _projectors(vectors):
+    """``|v><v|`` of every vector of a stack, over its last axis: the one projector builder,
+    used by ``from_pure``, ``from_ensemble``, ``isotropic_ghz4`` and the sweeps."""
+    return vectors[..., :, None] * vectors.conj()[..., None, :]
+
+
 def _purities(mats):
     """Tr(rho^2) of every matrix in a (B, dim, dim) stack."""
     return np.einsum("bij,bji->b", mats, mats).real
@@ -265,7 +271,7 @@ class Ensemble:
 
 def from_pure(psi: PureState) -> DensityMatrix:
     """Outer product of a pure state with itself."""
-    mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    mat = _projectors(psi.amplitudes)
     return DensityMatrix(mat, psi.local_dim, psi.num_parties)
 
 
@@ -274,7 +280,7 @@ def from_ensemble(ensemble: Ensemble) -> DensityMatrix:
     dim = ensemble.local_dim**ensemble.num_parties
     mat = np.zeros((dim, dim), dtype=complex)
     for weight, psi in ensemble.members:
-        mat += weight * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        mat += weight * _projectors(psi.amplitudes)
     return DensityMatrix(mat, ensemble.local_dim, ensemble.num_parties)
 
 
@@ -296,7 +302,7 @@ def isotropic_ghz4(x, d) -> DensityMatrix:
         raise ValueError(f"mixing weight must lie in [0, 1], got {x}")
     g = ghz(d, 4).amplitudes
     dim = g.size
-    mat = x * np.outer(g, g.conj()) + ((1.0 - x) / dim) * np.eye(dim)
+    mat = x * _projectors(g) + ((1.0 - x) / dim) * np.eye(dim)
     return DensityMatrix(mat, d, 4)
 
 

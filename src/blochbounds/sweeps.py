@@ -69,6 +69,7 @@ from .states import (
     _check_weights,
     _dense_bytes,
     _partial_trace,
+    _projectors,
     _purities,
 )
 
@@ -146,11 +147,6 @@ class SampleSpec:
         if self.kind == PURE_HAAR:
             return _projectors(_haar_amplitudes(d, n, seeds))
         return _ginibre_densities(d, n, self.rank or d**n, seeds)
-
-
-def _projectors(vectors):
-    """``|v><v|`` of every vector of a stack, over its last axis."""
-    return vectors[..., :, None] * vectors.conj()[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -330,7 +326,6 @@ def separable_tensor(d, label, seed) -> BlochTensor:
 @dataclass(frozen=True)
 class _Check:
     name: str
-    description: str
     arities: tuple
     pure_only: bool
     tol: float
@@ -342,7 +337,6 @@ class _Check:
 _CHECKS = (
     _Check(
         "ball-radius",
-        "largest one-party squared norm stays within the outer Bloch radius",
         (1, 2, 3, 4),
         False,
         BOUND_TOL,
@@ -351,7 +345,6 @@ _CHECKS = (
     ),
     _Check(
         "bipartite-norm-bound",
-        "largest two-party squared norm respects the bipartite cap",
         (2, 3, 4),
         False,
         BOUND_TOL,
@@ -360,7 +353,6 @@ _CHECKS = (
     ),
     _Check(
         "tripartite-norm-bound",
-        "largest three-party squared norm respects the tripartite cap",
         (3, 4),
         False,
         BOUND_TOL,
@@ -369,7 +361,6 @@ _CHECKS = (
     ),
     _Check(
         "fourpartite-norm-bound",
-        "the four-party squared norm respects the four-party cap",
         (4,),
         False,
         BOUND_TOL,
@@ -378,7 +369,6 @@ _CHECKS = (
     ),
     _Check(
         "triple-norm-tradeoff",
-        "the summed three-party squared norms respect their joint cap",
         (4,),
         False,
         BOUND_TOL,
@@ -387,7 +377,6 @@ _CHECKS = (
     ),
     _Check(
         "purity-identity",
-        "purity recomputed from tensor norms matches the direct trace",
         (1, 2, 3, 4),
         False,
         BOUND_TOL,
@@ -396,7 +385,6 @@ _CHECKS = (
     ),
     _Check(
         "marginal-purity",
-        "one-party and complementary marginals of a pure state share purity",
         (3, 4),
         True,
         BOUND_TOL,
@@ -405,7 +393,6 @@ _CHECKS = (
     ),
     _Check(
         "pure-pair-sum-rule",
-        "pure three-party states satisfy the one/two-party norm sum rule",
         (3,),
         True,
         BOUND_TOL,
@@ -414,7 +401,6 @@ _CHECKS = (
     ),
     _Check(
         "pure-triple-sum-rule",
-        "pure four-party states satisfy the one/two/three-party norm sum rule",
         (4,),
         True,
         BOUND_TOL,
@@ -423,7 +409,6 @@ _CHECKS = (
     ),
     _Check(
         "reconstruction-round-trip",
-        "decompose-then-reconstruct reproduces the state",
         (1, 2, 3, 4),
         False,
         ROUND_TRIP_TOL,
@@ -433,7 +418,6 @@ _CHECKS = (
     *(
         _Check(
             f"separable-{label}",
-            f"constructed {label} separable mixtures stay below their threshold",
             (4,),
             False,
             BOUND_TOL,
@@ -505,8 +489,6 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
             selected.append(check)
         if not selected:
             raise ValueError("no checks requested")
-    if not selected:
-        raise ValueError("no applicable checks for this sample spec")
     labels = tuple(check.separable for check in selected if check.separable)
 
     # check name -> (index, value) of its worst sample so far

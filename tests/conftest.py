@@ -13,7 +13,9 @@ of the separable checks: it forms every mixture as a ``d^4 x d^4`` matrix
 from the call-by-call member reads. ``gram_matrix`` and ``validate_basis``
 check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
 holds state documents whose complex entries the parser must refuse, and
-``MALFORMED_SHAPE_DOCS`` documents with a field of the wrong JSON type.
+``MALFORMED_SHAPE_DOCS`` documents with a field of the wrong JSON type,
+``UNREAD_PARAM_DOCS`` builtin documents with a parameter their builtin
+does not read.
 ``tensordot_coefficients`` and ``tensordot_rebuild`` are the Bloch pass as
 one ``np.tensordot`` per party, the reference the library's gemm pass must
 match bit for bit.
@@ -354,5 +356,25 @@ MALFORMED_SHAPE_DOCS = {
     "members-of-numbers": (
         {"d": 2, "parties": 1, "kind": "ensemble", "members": [5]},
         "members",
+    ),
+}
+
+# case -> (builtin document, the refusal's message)
+UNREAD_PARAM_DOCS = {
+    "pme-parties": (
+        {"kind": "builtin", "name": "product_max_entangled", "d": 2, "params": {"parties": 3}},
+        "takes no parameter 'parties'",
+    ),
+    "ghz-x": (
+        {"kind": "builtin", "name": "ghz", "d": 2, "parties": 3, "params": {"x": 0.5}},
+        "takes no parameter 'x'",
+    ),
+    "ghz-two-counts": (
+        {"kind": "builtin", "name": "ghz", "d": 2, "parties": 3, "params": {"parties": 2}},
+        "has parties 3 but params.parties 2",
+    ),
+    "iso-y": (
+        {"kind": "builtin", "name": "isotropic_ghz4", "d": 2, "params": {"x": 0.5, "y": 1}},
+        "takes no parameter 'y'",
     ),
 }

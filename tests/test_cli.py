@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix, sample_seed
 from blochbounds import sweeps
-from blochbounds.cli import _dumps, main
-from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS
+from blochbounds.cli import _dumps, _render_text, main
+from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS, UNREAD_PARAM_DOCS
 
 
 def run_cli(capsys, *argv):
@@ -548,6 +549,16 @@ def test_state_flags_the_state_does_not_take_exit_two(capsys, tmp_path, monkeypa
     assert message in err
 
 
+@pytest.mark.parametrize("case", sorted(UNREAD_PARAM_DOCS))
+def test_state_documents_with_params_the_builtin_does_not_read_exit_two(capsys, tmp_path, case):
+    doc, message = UNREAD_PARAM_DOCS[case]
+    path = _state_file(tmp_path, json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", "--state", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -605,6 +616,64 @@ def test_json_floats_round_trip_through_text(capsys):
     assert code == 0
     # the JSON encoding must preserve the double exactly
     assert float(repr(report["value"])) == report["value"]
+
+
+BOUNDS_D2_TEXT = """\
+d: 2
+bipartite: 3.0
+tripartite: 4.0
+fourpartite: 9.0
+tradeoff: 13.5
+ball_radii:
+  inner: 1.0
+  outer: 1.0
+separability_thresholds:
+  1-1-1-1: 1.0
+  1-1-2: 3.0
+  1-3: 4.0
+  2-2: 9.0
+measure_upper_bounds:
+  3:
+    closed_form: 1.0
+    via_norm_bound: 1.0
+    difference: 0.0
+  4:
+    closed_form: 2.0
+    via_norm_bound: 2.0
+    difference: 0.0
+"""
+
+BASIS_D2_TEXT = """\
+d: 2
+count: 3
+generators:
+  -
+    label: sym(0,1)
+    matrix: [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+  -
+    label: asym(0,1)
+    matrix: [[[0.0, 0.0], [-0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
+  -
+    label: diag(1)
+    matrix: [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+"""
+
+TEXT_LINE = re.compile(r"(  )*(-|- \S.*|[^\s:-][^:]*:|[^\s:-][^:]*: \S.*)")
+
+
+def test_text_reports_keep_their_layout(capsys):
+    # closed forms and exact basis entries: the same bytes on any BLAS
+    assert run_cli(capsys, "bounds", "--d", "2") == (0, BOUNDS_D2_TEXT, "")
+    assert run_cli(capsys, "basis", "--d", "2") == (0, BASIS_D2_TEXT, "")
+    argv = ["verify", "--d", "2", "--parties", "3", "--samples", "3", "--seed", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for line in out.splitlines():
+        assert TEXT_LINE.fullmatch(line), line
+    # a list mixing scalars and containers: "- value" items beside "-" items
+    assert _render_text({"mix": [1.5, [2, [3]], {"k": True}]}) == [
+        "mix:", "  - 1.5", "  - [2, [3]]", "  -", "    k: true",
+    ]
 
 
 LAYOUT_CASES = {

@@ -13,7 +13,7 @@ from blochbounds import (
     state_from_json,
     state_to_json,
 )
-from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS
+from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS, UNREAD_PARAM_DOCS
 
 
 def test_pure_round_trip():
@@ -84,6 +84,26 @@ def test_builtin_errors():
             state_from_json(
                 {"kind": "builtin", "name": "isotropic_ghz4", "d": 2, "params": {"x": x}}
             )
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_PARAM_DOCS))
+def test_builtin_params_the_builtin_does_not_read_are_refused(case):
+    doc, message = UNREAD_PARAM_DOCS[case]
+    with pytest.raises(ValueError, match=message):
+        state_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "builtin", "name": "ghz", "d": 3, "params": {"parties": 3}},
+        {"kind": "builtin", "name": "ghz", "d": 3, "parties": 3, "params": {"parties": 3}},
+    ],
+    ids=["params-only", "both-agree"],
+)
+def test_builtin_ghz_party_count_from_params(doc):
+    back = state_from_json(doc)
+    np.testing.assert_array_equal(back.amplitudes, ghz(3, 3).amplitudes)
 
 
 def test_schema_errors():

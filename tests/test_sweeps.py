@@ -202,6 +202,15 @@ def test_available_checks_filtering():
     assert set(mixed3) <= set(available_checks())
 
 
+@pytest.mark.parametrize("kind", [PURE_HAAR, MIXED_GINIBRE])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_spec_has_applicable_checks(d, n, kind):
+    # run_sweep has no guard for an empty default selection, which would pass over zero checks
+    always = {"ball-radius", "purity-identity", "reconstruction-round-trip"}
+    assert always <= set(available_checks(SampleSpec(d, n, kind, 1, 0)))
+
+
 def test_unknown_or_inapplicable_checks_rejected():
     spec = SampleSpec(2, 3, PURE_HAAR, 5, 0)
     with pytest.raises(ValueError, match="unknown check"):
