@@ -262,13 +262,10 @@ def et_upper_bound_via_norm_bound(d, n) -> float:
     for every d; both routes are kept so reports can show the agreement
     instead of asserting it silently.
     """
-    if n == 3:
-        cap = tripartite_norm_bound(d)
-    elif n == 4:
-        cap = fourpartite_norm_bound(d)
-    else:
+    cap = {3: tripartite_norm_bound, 4: fourpartite_norm_bound}.get(n)
+    if cap is None:
         raise ValueError(f"the measure bound is defined for n in (3, 4), got {n}")
-    return _measure_from_norm_sq(d, n, cap)
+    return _measure_from_norm_sq(d, n, cap(d))
 
 
 def et_bound_audit(d) -> dict:

@@ -26,7 +26,6 @@ from .bounds import (
     bound_table,
     classify,
     et_bound_audit,
-    et_upper_bound,
     separability_thresholds,
     tradeoff_check,
 )
@@ -266,6 +265,7 @@ def _cmd_measure(args):
     d, n = state.local_dim, state.num_parties
     norm_sq = tensor_norm_sq(bloch_tensor(from_pure(state), tuple(range(1, n + 1))))
     value = _measure_from_norm_sq(d, n, norm_sq)
+    routes = et_bound_audit(d).get(n)
     report = {
         "d": d,
         "parties": n,
@@ -273,10 +273,10 @@ def _cmd_measure(args):
         "norm": math.sqrt(norm_sq),
         "value": value,
         "value_clamped": max(value, 0.0),
-        "upper_bound": et_upper_bound(d, n) if n in (3, 4) else None,
+        "upper_bound": routes["closed_form"] if routes else None,
     }
-    if n in (3, 4):
-        report["upper_bound_routes"] = et_bound_audit(d)[n]
+    if routes:
+        report["upper_bound_routes"] = routes
     return report, 0
 
 
@@ -383,13 +383,8 @@ def _render_text(obj, indent=0):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = _build_parser().parse_args(argv)
         report, code = args.handler(args)
     except (_CliError, ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

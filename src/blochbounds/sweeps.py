@@ -51,6 +51,7 @@ from .bounds import (
 )
 from .sampling import (
     SEPARABLE_MEMBERS,
+    SEPARABLE_SPLITS,
     _SPLIT_LAYOUTS,
     _check_separable,
     _check_seed,
@@ -134,19 +135,16 @@ class SampleSpec:
                 raise ValueError(f"rank must lie in 1..{d**n}, got {rank}")
 
     def draw(self, index) -> DensityMatrix:
-        """Sample ``index`` of this spec, the state the sweep checks under that index."""
-        return DensityMatrix(
-            self._draw([sample_seed(self.base_seed, index)])[0],
-            self.local_dim,
-            self.num_parties,
-        )
+        """Sample ``index`` of this spec, drawn by the code a sweep's chunk draws it with.
 
-    def _draw(self, seeds) -> np.ndarray:
-        """Density matrices of the given per-sample seeds, as one unvalidated stack."""
-        d, n = self.local_dim, self.num_parties
-        if self.kind == PURE_HAAR:
-            return _projectors(_haar_amplitudes(d, n, seeds))
-        return _ginibre_densities(d, n, self.rank or d**n, seeds)
+        Replaying by construction costs a second validation: the chunk checks
+        a pure sample's amplitudes or a mixed one's matrix, then
+        ``DensityMatrix`` checks the matrix.
+        """
+        if not 0 <= _check_int(index, "sample index") < self.count:
+            raise ValueError(f"sample index must lie in 0..{self.count - 1}, got {index}")
+        seed = sample_seed(self.base_seed, index)
+        return DensityMatrix(_Chunk(self, [seed], ()).rho[0], self.local_dim, self.num_parties)
 
 
 @dataclass(frozen=True)
@@ -155,8 +153,8 @@ class CheckOutcome:
 
     ``worst_index`` is the first sample attaining ``max_observed`` (the
     first NaN, if any) and ``worst_seed`` its per-sample seed: for a
-    per-sample check ``spec.draw(worst_index)`` replays the state, and for
-    a ``separable-*`` check
+    per-sample check ``spec.draw(worst_index)`` replays the state through
+    the chunk's own draw code, and for a ``separable-*`` check
     ``tensor_norm_sq(separable_tensor(d, label, worst_seed))`` replays
     ``max_observed`` bit for bit. A failed outcome may come from a derived
     value (a marginal or reconstruction) that broke; it is reported here,
@@ -210,7 +208,7 @@ class _Chunk:
             amps = _haar_amplitudes(d, n, self.seeds)
             _check_amplitudes(amps)
             return _projectors(amps)
-        rho = self.spec._draw(self.seeds)
+        rho = _ginibre_densities(d, n, self.spec.rank or d**n, self.seeds)
         _check_densities(rho)
         return rho
 
@@ -427,7 +425,7 @@ _CHECKS = (
             ),
             separable=label,
         )
-        for label in ("1-3", "2-2", "1-1-2", "1-1-1-1")
+        for label in SEPARABLE_SPLITS
     ),
 )
 
@@ -469,26 +467,20 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     """
     if tol is not None:
         tol = _check_real(tol, "comparison tolerance")
-    if checks is None:
-        selected = [check for check in _CHECKS if _applicable(check, spec)]
-    else:
-        selected = []
-        for name in checks:
-            check = _BY_NAME.get(name)
-            if check is None:
-                raise ValueError(
-                    f"unknown check {name!r}; available: {', '.join(_BY_NAME)}"
-                )
-            if not _applicable(check, spec):
-                raise ValueError(
-                    f"check {name!r} does not apply to kind={spec.kind!r}, "
-                    f"n={spec.num_parties}"
-                )
-            if check in selected:
-                raise ValueError(f"check {name!r} is requested more than once")
-            selected.append(check)
-        if not selected:
-            raise ValueError("no checks requested")
+    selected = []
+    for name in available_checks(spec) if checks is None else checks:
+        check = _BY_NAME.get(name)
+        if check is None:
+            raise ValueError(f"unknown check {name!r}; available: {', '.join(_BY_NAME)}")
+        if not _applicable(check, spec):
+            raise ValueError(
+                f"check {name!r} does not apply to kind={spec.kind!r}, n={spec.num_parties}"
+            )
+        if check in selected:
+            raise ValueError(f"check {name!r} is requested more than once")
+        selected.append(check)
+    if not selected:
+        raise ValueError("no checks requested")
     labels = tuple(check.separable for check in selected if check.separable)
 
     # check name -> (index, value) of its worst sample so far

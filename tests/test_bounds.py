@@ -206,6 +206,19 @@ def test_measure_upper_bounds():
         et_upper_bound_via_norm_bound(2, 2)
 
 
+@pytest.mark.parametrize("route", [et_upper_bound, et_upper_bound_via_norm_bound])
+@pytest.mark.parametrize("n", [2, 5])
+def test_measure_bound_routes_refuse_other_party_counts(route, n):
+    message = rf"^the measure bound is defined for n in \(3, 4\), got {n}$"
+    with pytest.raises(ValueError, match=message):
+        route(2, n)
+
+
+def test_unknown_separability_class_is_refused():
+    with pytest.raises(ValueError, match="^unknown separability class '3-1'$"):
+        separability_thresholds(2).for_class("3-1")
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_measure_bound_routes_agree(d):
     audit = et_bound_audit(d)

@@ -609,6 +609,21 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5"],
+        ["verify", "--d", "2", "--parties", "3", "--samples", "2", "--seed", "1"],
+    ],
+    ids=["classify", "verify"],
+)
+def test_non_numeric_tolerance_env_exits_two(capsys, monkeypatch, argv):
+    monkeypatch.setenv("BLOCHBOUNDS_TOL", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: BLOCHBOUNDS_TOL must be a number, got 'abc'\n"
+
+
 def test_json_floats_round_trip_through_text(capsys):
     code, report, _ = run_json(
         capsys, "measure", "--builtin", "ghz", "--d", "3", "--parties", "3"

@@ -317,6 +317,28 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, 2, 1)  # wrong shape for (d, n)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: DensityMatrix(np.diag([1 + 0.9e-9, -0.9e-9]), 2, 1),
+            "purity 1.0000000018000001 lies outside [1/2, 1]",
+        ),
+        (lambda: Ensemble([]), "ensemble needs at least one member"),
+        (lambda: Ensemble([(1.0, "psi")]), "ensemble members must be PureState instances"),
+        (
+            lambda: product_state([((1,), [1, 0, 0]), ((2,), [1, 0])], 2),
+            "factor on parties (1,) has 3 amplitudes, expected 2",
+        ),
+    ],
+    ids=["purity-above-one", "empty-ensemble", "non-state-member", "factor-length"],
+)
+def test_constructors_refuse_with_their_message(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 def test_state_objects_are_immutable():
     psi = ghz(2, 2)
     with pytest.raises(ValueError):
@@ -376,6 +398,8 @@ _BAD_MEMBERS = {
     "non-Hermitian": np.array([[0.5, 0.3, 0, 0], [0.1, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
     "trace": np.eye(4) / 2,
     "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0]),
+    # admitted by the PSD gate (smallest eigenvalue -9e-10), refused by the purity range
+    "purity": np.diag([1 + 0.9e-9, -0.9e-9, 0.0, 0.0]),
 }
 
 

@@ -13,6 +13,8 @@ from blochbounds import (
     SampleSpec,
     available_checks,
     bloch_tensor,
+    from_pure,
+    haar_random_pure,
     random_separable,
     run_sweep,
     sample_seed,
@@ -178,8 +180,9 @@ def test_sweep_matches_per_sample_oracle_across_chunk_edges(spec):
             assert outcome.worst_seed == sample_seed(spec.base_seed, outcome.worst_index)
 
 
-def test_worst_sample_replays_its_maximum():
-    spec = SampleSpec(2, 4, PURE_HAAR, 40, 31)
+@pytest.mark.parametrize("kind", [PURE_HAAR, MIXED_GINIBRE])
+def test_worst_sample_replays_its_maximum(kind):
+    spec = SampleSpec(2, 4, kind, 40, 31)
     report = run_sweep(spec)
     for outcome in report.checks:
         if outcome.name.startswith("separable-"):
@@ -188,6 +191,27 @@ def test_worst_sample_replays_its_maximum():
         else:
             value = oracle_check_value(spec.draw(outcome.worst_index), outcome.name)
         assert _replays(outcome.name, value, outcome.max_observed), outcome.name
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (5, r"sample index must lie in 0\.\.4, got 5"),
+        (-1, r"sample index must lie in 0\.\.4, got -1"),
+        (True, "sample index must be an integer, got True"),
+        (2.0, "sample index must be an integer, got 2.0"),
+    ],
+    ids=["past-count", "negative", "bool", "float"],
+)
+def test_draw_refuses_indices_no_sweep_of_the_spec_checks(index, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SampleSpec(2, 3, PURE_HAAR, 5, 0).draw(index)
+
+
+def test_draw_accepts_the_last_swept_index():
+    state = SampleSpec(2, 3, PURE_HAAR, 5, 0).draw(4)
+    expected = from_pure(haar_random_pure(2, 3, sample_seed(0, 4)))
+    np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
 def test_available_checks_filtering():
@@ -377,6 +401,7 @@ def test_separable_tensor_rejects_bad_arguments(args, match):
         ("weights", "weights sum to"),
         ("blocks", "not 1 within"),
         ("nan", "non-finite"),
+        ("nan-weights", "weights contain non-finite values"),
     ],
 )
 def test_separable_members_are_validated_where_drawn(monkeypatch, broken, match):
@@ -386,6 +411,9 @@ def test_separable_members_are_validated_where_drawn(monkeypatch, broken, match)
         weights, picks, stacks, slots = original(*args)
         if broken == "weights":
             weights = 2.0 * weights
+        elif broken == "nan-weights":
+            # NaN passes the range and sum comparisons; only the finiteness test refuses it
+            weights = np.full_like(weights, np.nan)
         elif broken == "blocks":
             first = min(stacks)
             stacks = {**stacks, first: 1.5 * stacks[first]}
