@@ -198,6 +198,8 @@ def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationR
 
     Raises ValueError unless ``rho`` has exactly four parties and ``tol`` is
     a finite real number. Nothing is ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
+    Nor is 2-2 ever excluded: its threshold ``t22`` is the unconditional
+    four-party cap ``fourpartite_norm_bound(d)``, which no state's norm exceeds.
     """
     if rho.num_parties != 4:
         raise ValueError(

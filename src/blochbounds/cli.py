@@ -11,6 +11,7 @@ same values. Exit codes: 0 on success, 1 when a verification sweep fails,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -42,6 +43,11 @@ from .sweeps import (
 )
 
 TOL_ENV_VAR = "BLOCHBOUNDS_TOL"
+
+# glibc's mallopt parameters (malloc.h) and the variables through which a user sets them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
 
 
 class _CliError(Exception):
@@ -117,6 +123,11 @@ def _build_parser():
         f"known: {','.join(available_checks())}",
     )
     _tol_argument(verify, f"{BOUND_TOL}, {ROUND_TRIP_TOL} for reconstruction-round-trip")
+    verify.add_argument(
+        "--timings",
+        action="store_true",
+        help="also report the seconds spent per sweep stage and per check",
+    )
     _format_argument(verify)
     verify.set_defaults(handler=_cmd_verify)
     return parser
@@ -306,7 +317,7 @@ def _cmd_verify(args):
     )
     # an empty --checks is an empty selection, refused by run_sweep, not the default
     checks = None if args.checks is None else args.checks.split(",") if args.checks else []
-    report = run_sweep(spec, checks=checks, tol=_resolve_tol(args))
+    report = run_sweep(spec, checks=checks, tol=_resolve_tol(args), timings=args.timings)
     payload = {
         "d": spec.local_dim,
         "parties": spec.num_parties,
@@ -317,6 +328,8 @@ def _cmd_verify(args):
         "checks": [dataclasses.asdict(c) for c in report.checks],
         "passed": report.passed,
     }
+    if report.timings is not None:
+        payload["timings"] = report.timings
     return payload, 0 if report.passed else 1
 
 
@@ -382,7 +395,36 @@ def _render_text(obj, indent=0):
     return lines
 
 
+def _keep_freed_arrays_mapped():
+    """Keep the arrays a sweep's chunk frees in the heap, for the next chunk to reuse.
+
+    glibc serves a large block from a fresh mapping, or trims the heap top
+    once enough is free, and its dynamic thresholds move as blocks come and
+    go. So a chunk's arrays (about 3 MB at d=3, n=4) went back to the system
+    and the next chunk faulted the same pages in again. This fixes the mmap
+    threshold at 32 MiB, the largest glibc takes on 64-bit, and the trim
+    threshold at twice that, as glibc's dynamic rule pairs them: both are
+    well above a chunk's largest working set (8.6 MB). It changes no value
+    the program computes. It does nothing where the C library has no
+    ``mallopt`` or refuses the value (a non-glibc or 32-bit libc), and
+    nothing when the environment already tunes glibc's allocator.
+    """
+    if any(var in os.environ for var in _MALLOC_ENV_VARS):
+        return
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library to load, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_arrays_mapped()
     try:
         args = _build_parser().parse_args(argv)
         report, code = args.handler(args)

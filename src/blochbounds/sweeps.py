@@ -26,8 +26,9 @@ chunk keeps only its squared norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 
@@ -174,15 +175,65 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Outcomes of a sweep's checks, in the order selected.
+
+    ``timings`` is None unless the sweep was asked for it; then it maps each
+    stage of a chunk (``rho``: the draw and its validation, ``coeffs``,
+    ``norms``, ``separable``) and each check's own evaluation, by name, to
+    the seconds spent in it over the sweep, not counting the stages it
+    started. A stage no selected check needs reads 0.0. Reports compare
+    equal whatever their timings.
+    """
+
     spec: SampleSpec
     checks: tuple
     passed: bool
+    timings: dict | None = field(default=None, compare=False)
 
     def outcome(self, name) -> CheckOutcome:
         for check in self.checks:
             if check.name == name:
                 return check
         raise KeyError(name)
+
+
+class _StageClock:
+    """Seconds per sweep stage, each stage's own: time spent in a stage it starts is that stage's.
+
+    A clock made with ``on=False`` runs what it is given and reads no timer.
+    """
+
+    def __init__(self, on=True):
+        self.seconds = {} if on else None
+        self._inner = [0.0]  # per open stage, the seconds of the stages it started
+
+    def run(self, stage, build, *args):
+        if self.seconds is None:
+            return build(*args)
+        self._inner.append(0.0)
+        start = perf_counter()
+        try:
+            return build(*args)
+        finally:
+            elapsed = perf_counter() - start
+            inner = self._inner.pop()
+            self._inner[-1] += elapsed
+            self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed - inner
+
+
+_NO_CLOCK = _StageClock(on=False)
+
+#: A chunk's timed stages, each built once per chunk by the cached property of its name.
+_STAGES = ("rho", "coeffs", "norms", "separable")
+
+
+def _stage(name):
+    """A chunk's cached property whose build runs on the chunk's clock as stage ``name``."""
+
+    def wrap(build):
+        return cached_property(lambda chunk: chunk.clock.run(name, build, chunk))
+
+    return wrap
 
 
 class _Chunk:
@@ -194,14 +245,16 @@ class _Chunk:
     (``purities`` among it) is validated again.
     ``separable`` holds the four-party squared norms of the constructed
     mixtures of every class in ``labels``, drawn together, not their tensors.
+    Each stage in ``_STAGES`` is built on ``clock``.
     """
 
-    def __init__(self, spec, seeds, labels):
+    def __init__(self, spec, seeds, labels, clock=_NO_CLOCK):
         self.spec = spec
         self.seeds = seeds
         self.labels = labels
+        self.clock = clock
 
-    @cached_property
+    @_stage("rho")
     def rho(self):
         d, n = self.spec.local_dim, self.spec.num_parties
         if self.spec.kind == PURE_HAAR:
@@ -216,19 +269,19 @@ class _Chunk:
     def purities(self):
         return _purities(self.rho)
 
-    @cached_property
+    @_stage("coeffs")
     def coeffs(self):
         return _coefficients(self.rho, self.spec.local_dim, self.spec.num_parties)
 
-    @cached_property
+    @_stage("norms")
     def norms(self):
         return _subset_norms(self.coeffs, self.spec.num_parties)
 
-    @cached_property
+    @_stage("norms")
     def order_sums(self):
         return _sums_by_order(self.norms, self.spec.num_parties)
 
-    @cached_property
+    @_stage("separable")
     def separable(self):
         tensors = _separable_tensors(self.spec.local_dim, self.labels, self.seeds)
         return {label: _squared_norms(tensor) for label, tensor in tensors.items()}
@@ -452,7 +505,9 @@ def _chunk_size(spec):
     return max(1, CHUNK_BYTES // _dense_bytes(spec.local_dim, spec.num_parties))
 
 
-def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepReport:
+def run_sweep(
+    spec: SampleSpec, checks=None, tol: float | None = None, timings: bool = False
+) -> SweepReport:
     """Evaluate the requested checks on ``spec.count`` seeded samples.
 
     ``checks=None`` selects every check applicable to the spec; requesting
@@ -463,7 +518,8 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     (same count and seed schedule, all selected classes from one read of
     each stream) instead of using the spec's ensemble kind. A drawn sample or member
     that fails validation raises ValueError; a derived value that breaks
-    fails its check instead.
+    fails its check instead. ``timings=True`` fills the report's ``timings``
+    with the seconds spent per stage; the outcomes are the same either way.
     """
     if tol is not None:
         tol = _check_real(tol, "comparison tolerance")
@@ -485,12 +541,13 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
 
     # check name -> (index, value) of its worst sample so far
     worst = {check.name: (0, -math.inf) for check in selected}
+    clock = _StageClock(on=timings)
     size = _chunk_size(spec)
     for start in range(0, spec.count, size):
         indices = range(start, min(start + size, spec.count))
-        ctx = _Chunk(spec, [sample_seed(spec.base_seed, i) for i in indices], labels)
+        ctx = _Chunk(spec, [sample_seed(spec.base_seed, i) for i in indices], labels, clock)
         for check in selected:
-            values = check.evaluate(ctx)
+            values = clock.run(check.name, check.evaluate, ctx)
             i = int(np.argmax(values))  # the first NaN, else the first maximum
             value = float(values[i])
             best = worst[check.name][1]
@@ -517,4 +574,8 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
                 sample_seed(spec.base_seed, index),
             )
         )
-    return SweepReport(spec, tuple(outcomes), all(o.passed for o in outcomes))
+    seconds = None
+    if timings:
+        stages = (*_STAGES, *(check.name for check in selected))
+        seconds = {stage: clock.seconds.get(stage, 0.0) for stage in stages}
+    return SweepReport(spec, tuple(outcomes), all(o.passed for o in outcomes), seconds)

@@ -1,13 +1,16 @@
 import json
 import math
+import platform
 import re
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix, sample_seed
-from blochbounds import sweeps
+from blochbounds import cli, sweeps
 from blochbounds.cli import _dumps, _render_text, main
 from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS, UNREAD_PARAM_DOCS
 
@@ -230,6 +233,102 @@ def test_verify_names_the_worst_sample_in_json_and_text(capsys):
     first = report["checks"][0]
     assert f"worst_index: {first['worst_index']}" in text
     assert f"worst_seed: {first['worst_seed']}" in text
+
+
+def test_verify_timings_flag_adds_only_the_timings(capsys):
+    argv = ("verify", "--d", "2", "--parties", "4", "--samples", "3", "--seed", "1")
+    _, plain, _ = run_json(capsys, *argv)
+    code, timed, _ = run_json(capsys, *argv, "--timings")
+    assert code == 0 and "timings" not in plain
+    timings = timed.pop("timings")
+    assert timed == plain
+    checks = [check["name"] for check in plain["checks"]]
+    assert list(timings) == ["rho", "coeffs", "norms", "separable", *checks]
+    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timings.values())
+    code, text, _ = run_cli(capsys, *argv, "--timings")
+    assert code == 0 and "\ntimings:\n  rho: " in text
+
+
+# the environment through which a user tunes glibc's allocator, which the CLI leaves alone
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "GLIBC_TUNABLES")
+SMALL_VERIFY = ("verify", "--d", "2", "--parties", "3", "--samples", "4", "--seed", "1")
+
+
+def fake_mallopt(monkeypatch, result=1, missing=False):
+    """Stand in a C library whose ``mallopt`` returns ``result`` (or which has none); return its calls."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    libc = types.SimpleNamespace() if missing else types.SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    return calls
+
+
+@pytest.fixture
+def untuned_env(monkeypatch):
+    for var in MALLOC_ENV:
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or platform.libc_ver()[0] != "glibc"
+    or sys.maxsize < 2**32,
+    reason="the thresholds are set on 64-bit glibc only",
+)
+def test_verify_keeps_freed_chunk_arrays_mapped(capsys, untuned_env):
+    resource = pytest.importorskip("resource")
+    argv = ["verify", "--d", "3", "--parties", "4", "--samples", "100", "--seed", "1"]
+    assert main(argv) == 0  # sets the thresholds and grows the heap to the working set
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = main(argv)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    capsys.readouterr()
+    # under glibc's dynamic thresholds each such call takes more than 13,000
+    assert code == 0 and faults < 1000
+
+
+def test_main_sets_both_malloc_thresholds(capsys, monkeypatch, untuned_env):
+    calls = fake_mallopt(monkeypatch)
+    assert run_cli(capsys, *SMALL_VERIFY)[0] == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize(
+    "var, value",
+    [
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_TOP_PAD_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+        ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.arena_max=1"),
+    ],
+)
+def test_a_tuned_allocator_environment_is_left_alone(capsys, monkeypatch, untuned_env, var, value):
+    monkeypatch.setenv(var, value)
+    calls = fake_mallopt(monkeypatch)
+    assert run_cli(capsys, *SMALL_VERIFY)[0] == 0
+    assert calls == []
+
+
+def test_other_glibc_tunables_do_not_stop_the_setting(capsys, monkeypatch, untuned_env):
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.pthread.rseq=0")
+    calls = fake_mallopt(monkeypatch)
+    assert run_cli(capsys, *SMALL_VERIFY)[0] == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("result, missing", [(0, False), (1, True)], ids=["refused", "missing"])
+def test_a_libc_without_the_setting_changes_no_output(capsys, monkeypatch, untuned_env, result, missing):
+    expected = run_cli(capsys, *SMALL_VERIFY, "--format", "json")
+    calls = fake_mallopt(monkeypatch, result, missing)
+    assert run_cli(capsys, *SMALL_VERIFY, "--format", "json") == expected
+    assert expected[0] == 0
+    # a refused mmap threshold is not followed by a trim threshold
+    assert calls == ([] if missing else [(-3, 32 << 20)])
 
 
 def test_verify_refuses_oversized_dimensions_without_allocating(capsys):

@@ -17,7 +17,7 @@ from blochbounds import (
     sample_seed,
     splitmix64,
 )
-from blochbounds import sampling, states
+from blochbounds import sampling, states, sweeps
 from blochbounds.sampling import _complex_normals, _ginibre_densities, _haar_amplitudes
 from conftest import (
     separable_densities,
@@ -168,29 +168,50 @@ def test_haar_unitary_allows_dimensions_past_the_one_party_cap():
     np.testing.assert_allclose(u @ u.conj().T, np.eye(100), atol=1e-12)
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """Record every stacked validation as ``(binding, stack shape)``, at each module's binding."""
+    seen = []
+    for module in (states, sweeps):
+        for name in ("_check_amplitudes", "_check_densities"):
+            original = getattr(module, name)
+            binding = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+
+            def recording(stack, *args, _original=original, _binding=binding):
+                seen.append((_binding, stack.shape))
+                return _original(stack, *args)
+
+            monkeypatch.setattr(module, name, recording)
+    return seen
+
+
 @pytest.mark.parametrize(
     "draw, expected",
     [
-        (lambda: haar_random_pure(2, 3, 5), ("_check_amplitudes", (1, 8))),
-        (lambda: random_mixed(2, 3, 4, 5), ("_check_densities", (1, 8, 8))),
-        (lambda: random_separable(2, "2-2", 5), ("_check_densities", (1, 16, 16))),
-        (lambda: SampleSpec(2, 3, PURE_HAAR).draw(4), ("_check_densities", (1, 8, 8))),
-        (lambda: SampleSpec(2, 3, MIXED_GINIBRE).draw(4), ("_check_densities", (1, 8, 8))),
+        (lambda: haar_random_pure(2, 3, 5), ("states._check_amplitudes", (1, 8))),
+        (lambda: random_mixed(2, 3, 4, 5), ("states._check_densities", (1, 8, 8))),
+        (lambda: random_separable(2, "2-2", 5), ("states._check_densities", (1, 16, 16))),
     ],
-    ids=["haar", "ginibre", "separable", "spec-pure", "spec-mixed"],
+    ids=["haar", "ginibre", "separable"],
 )
-def test_public_draws_validate_once_through_their_constructor(monkeypatch, draw, expected):
-    seen = []
-    for name in ("_check_amplitudes", "_check_densities"):
-        original = getattr(states, name)
-
-        def recording(stack, *args, _original=original, _name=name):
-            seen.append((_name, stack.shape))
-            return _original(stack, *args)
-
-        monkeypatch.setattr(states, name, recording)
+def test_public_draws_validate_once_through_their_constructor(validations, draw, expected):
     draw()
-    assert seen == [expected]
+    assert validations == [expected]
+
+
+@pytest.mark.parametrize(
+    "kind, chunk_check",
+    [
+        (PURE_HAAR, ("sweeps._check_amplitudes", (1, 8))),
+        (MIXED_GINIBRE, ("sweeps._check_densities", (1, 8, 8))),
+    ],
+    ids=["spec-pure", "spec-mixed"],
+)
+def test_spec_draw_validates_in_the_chunk_then_the_constructor(validations, kind, chunk_check):
+    # the replay runs the chunk's own draw, which validates what it draws, and then
+    # wraps the matrix in DensityMatrix, which validates it again
+    SampleSpec(2, 3, kind).draw(4)
+    assert validations == [chunk_check, ("states._check_densities", (1, 8, 8))]
 
 
 def test_box_muller_moments():
