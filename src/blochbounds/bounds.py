@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bloch import _subset_norms, _sums_by_order, bloch_tensor, full_decomposition, tensor_norm_sq
-from .states import DensityMatrix, PureState, _check_local_dim, _check_real, from_pure
+from .states import DensityMatrix, PureState, _check_local_dim, _check_tol, from_pure
 
 __all__ = [
     "COMPARISON_TOL",
@@ -197,7 +197,7 @@ def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationR
     """Rule out every separability class whose threshold the norm exceeds.
 
     Raises ValueError unless ``rho`` has exactly four parties and ``tol`` is
-    a finite real number. Nothing is ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
+    positive and finite. Nothing is ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
     Nor is 2-2 ever excluded: its threshold ``t22`` is the unconditional
     four-party cap ``fourpartite_norm_bound(d)``, which no state's norm exceeds.
     """
@@ -205,7 +205,7 @@ def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationR
         raise ValueError(
             f"classification needs a four-party state, got n={rho.num_parties}"
         )
-    tol = _check_real(tol, "comparison tolerance")
+    tol = _check_tol(tol)
     norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
     thresholds = separability_thresholds(rho.local_dim)
     margins = {label: norm_sq - cap for label, cap in thresholds.as_dict().items()}
@@ -301,13 +301,13 @@ def tradeoff_check(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> TradeoffR
 
     All four norms come from one decomposition of ``rho`` and are returned
     in ``per_triple``. Raises ValueError unless ``rho`` has four parties and
-    ``tol`` is a finite real number.
+    ``tol`` is positive and finite.
     """
     if rho.num_parties != 4:
         raise ValueError(
             f"the trade-off applies to four-party states, got n={rho.num_parties}"
         )
-    tol = _check_real(tol, "comparison tolerance")
+    tol = _check_tol(tol)
     norms = _subset_norms(full_decomposition(rho).coefficients[None], 4)
     per_triple = {t: float(norm_sq[0]) for t, norm_sq in norms.items() if len(t) == 3}
     total = float(_sums_by_order(norms, 4)[3][0])

@@ -179,6 +179,14 @@ def _ginibre_densities(d, n, rank, seeds) -> np.ndarray:
     return mats
 
 
+def _check_rank(rank, dim):
+    """``rank`` as an int in 1..dim, the ranks a Ginibre draw of ``dim`` rows takes."""
+    rank = _check_int(rank, "rank")
+    if not 1 <= rank <= dim:
+        raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
+    return rank
+
+
 def random_mixed(d, n, rank, seed) -> DensityMatrix:
     """Random density matrix G G^dagger / Tr(G G^dagger) with Gaussian G.
 
@@ -186,10 +194,7 @@ def random_mixed(d, n, rank, seed) -> DensityMatrix:
     pure states, rank d^n the unconstrained ensemble.
     """
     d, n = _check_dims(d, n)
-    dim = d**n
-    rank = _check_int(rank, "rank")
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
+    rank = _check_rank(rank, d**n)
     return DensityMatrix(_ginibre_densities(d, n, rank, [_check_seed(seed)])[0], d, n)
 
 

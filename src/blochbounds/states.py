@@ -73,6 +73,14 @@ def _check_real(value, what):
     raise ValueError(f"{what} must be a finite real number, got {value!r}")
 
 
+def _check_tol(value):
+    """A comparison tolerance as a float: a finite real number, and positive."""
+    tol = _check_real(value, "comparison tolerance")
+    if tol <= 0:
+        raise ValueError(f"comparison tolerance must be positive and finite, got {tol}")
+    return tol
+
+
 def _check_local_dim(local_dim):
     d = _check_int(local_dim, "local dimension")
     if d < 2:

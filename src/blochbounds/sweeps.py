@@ -54,6 +54,7 @@ from .sampling import (
     SEPARABLE_MEMBERS,
     SEPARABLE_SPLITS,
     _SPLIT_LAYOUTS,
+    _check_rank,
     _check_separable,
     _check_seed,
     _ginibre_densities,
@@ -67,7 +68,7 @@ from .states import (
     _check_densities,
     _check_dims,
     _check_int,
-    _check_real,
+    _check_tol,
     _check_weights,
     _dense_bytes,
     _partial_trace,
@@ -131,9 +132,7 @@ class SampleSpec:
         if self.rank is not None:
             if self.kind == PURE_HAAR:
                 raise ValueError("rank applies to mixed-ginibre sampling only")
-            rank = _check_int(self.rank, "rank")
-            if not 1 <= rank <= d**n:
-                raise ValueError(f"rank must lie in 1..{d**n}, got {rank}")
+            _check_rank(self.rank, d**n)
 
     def draw(self, index) -> DensityMatrix:
         """Sample ``index`` of this spec, drawn by the code a sweep's chunk draws it with.
@@ -144,8 +143,8 @@ class SampleSpec:
         """
         if not 0 <= _check_int(index, "sample index") < self.count:
             raise ValueError(f"sample index must lie in 0..{self.count - 1}, got {index}")
-        seed = sample_seed(self.base_seed, index)
-        return DensityMatrix(_Chunk(self, [seed], ()).rho[0], self.local_dim, self.num_parties)
+        chunk = _Chunk(self, [sample_seed(self.base_seed, index)], (), _StageClock(_STAGES))
+        return DensityMatrix(chunk.rho[0], self.local_dim, self.num_parties)
 
 
 @dataclass(frozen=True)
@@ -177,18 +176,17 @@ class CheckOutcome:
 class SweepReport:
     """Outcomes of a sweep's checks, in the order selected.
 
-    ``timings`` is None unless the sweep was asked for it; then it maps each
-    stage of a chunk (``rho``: the draw and its validation, ``coeffs``,
-    ``norms``, ``separable``) and each check's own evaluation, by name, to
-    the seconds spent in it over the sweep, not counting the stages it
-    started. A stage no selected check needs reads 0.0. Reports compare
-    equal whatever their timings.
+    ``timings`` maps each stage of a chunk (``rho``: the draw and its
+    validation, ``coeffs``, ``norms``, ``separable``) and then each check's
+    own evaluation, by name, to the seconds spent in it over the sweep, not
+    counting the stages it started. A stage no selected check needs reads
+    0.0. Reports compare equal whatever their timings.
     """
 
     spec: SampleSpec
     checks: tuple
     passed: bool
-    timings: dict | None = field(default=None, compare=False)
+    timings: dict = field(compare=False)
 
     def outcome(self, name) -> CheckOutcome:
         for check in self.checks:
@@ -200,16 +198,14 @@ class SweepReport:
 class _StageClock:
     """Seconds per sweep stage, each stage's own: time spent in a stage it starts is that stage's.
 
-    A clock made with ``on=False`` runs what it is given and reads no timer.
+    ``seconds`` holds every stage in ``names`` from 0.0, in that order; no other stage runs.
     """
 
-    def __init__(self, on=True):
-        self.seconds = {} if on else None
+    def __init__(self, names):
+        self.seconds = dict.fromkeys(names, 0.0)
         self._inner = [0.0]  # per open stage, the seconds of the stages it started
 
     def run(self, stage, build, *args):
-        if self.seconds is None:
-            return build(*args)
         self._inner.append(0.0)
         start = perf_counter()
         try:
@@ -218,10 +214,8 @@ class _StageClock:
             elapsed = perf_counter() - start
             inner = self._inner.pop()
             self._inner[-1] += elapsed
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed - inner
+            self.seconds[stage] += elapsed - inner
 
-
-_NO_CLOCK = _StageClock(on=False)
 
 #: A chunk's timed stages, each built once per chunk by the cached property of its name.
 _STAGES = ("rho", "coeffs", "norms", "separable")
@@ -248,7 +242,7 @@ class _Chunk:
     Each stage in ``_STAGES`` is built on ``clock``.
     """
 
-    def __init__(self, spec, seeds, labels, clock=_NO_CLOCK):
+    def __init__(self, spec, seeds, labels, clock):
         self.spec = spec
         self.seeds = seeds
         self.labels = labels
@@ -505,24 +499,21 @@ def _chunk_size(spec):
     return max(1, CHUNK_BYTES // _dense_bytes(spec.local_dim, spec.num_parties))
 
 
-def run_sweep(
-    spec: SampleSpec, checks=None, tol: float | None = None, timings: bool = False
-) -> SweepReport:
+def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepReport:
     """Evaluate the requested checks on ``spec.count`` seeded samples.
 
     ``checks=None`` selects every check applicable to the spec; requesting
     no check, a check by name that does not apply or a check twice raises
-    ValueError. ``tol``, a finite real number, overrides every check's own
+    ValueError. ``tol``, positive and finite, overrides every check's own
     tolerance when given.
     The ``separable-*`` checks draw their own class-constrained mixtures
     (same count and seed schedule, all selected classes from one read of
     each stream) instead of using the spec's ensemble kind. A drawn sample or member
     that fails validation raises ValueError; a derived value that breaks
-    fails its check instead. ``timings=True`` fills the report's ``timings``
-    with the seconds spent per stage; the outcomes are the same either way.
+    fails its check instead.
     """
     if tol is not None:
-        tol = _check_real(tol, "comparison tolerance")
+        tol = _check_tol(tol)
     selected = []
     for name in available_checks(spec) if checks is None else checks:
         check = _BY_NAME.get(name)
@@ -541,7 +532,7 @@ def run_sweep(
 
     # check name -> (index, value) of its worst sample so far
     worst = {check.name: (0, -math.inf) for check in selected}
-    clock = _StageClock(on=timings)
+    clock = _StageClock((*_STAGES, *(check.name for check in selected)))
     size = _chunk_size(spec)
     for start in range(0, spec.count, size):
         indices = range(start, min(start + size, spec.count))
@@ -574,8 +565,4 @@ def run_sweep(
                 sample_seed(spec.base_seed, index),
             )
         )
-    seconds = None
-    if timings:
-        stages = (*_STAGES, *(check.name for check in selected))
-        seconds = {stage: clock.seconds.get(stage, 0.0) for stage in stages}
-    return SweepReport(spec, tuple(outcomes), all(o.passed for o in outcomes), seconds)
+    return SweepReport(spec, tuple(outcomes), all(o.passed for o in outcomes), clock.seconds)

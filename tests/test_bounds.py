@@ -25,6 +25,7 @@ from blochbounds import (
     product_state,
     random_mixed,
     random_separable,
+    run_sweep,
     separability_thresholds,
     tensor_norm_sq,
     tradeoff_check,
@@ -32,6 +33,7 @@ from blochbounds import (
     triple_sum_bound,
     DensityMatrix,
     PureState,
+    SampleSpec,
 )
 from conftest import ghz_norm_sq, single_separable_matrix
 
@@ -317,6 +319,16 @@ def test_non_finite_tolerance_rejected(tol):
         classify(rho, tol)
     with pytest.raises(ValueError, match="finite"):
         tradeoff_check(rho, tol)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -0.0, -1.0])
+def test_non_positive_tolerance_rejected(tol):
+    # a negative tolerance would exclude 2-2 and fail the trade-off of every state
+    rho = from_pure(ghz(2, 4))
+    spec = SampleSpec(2, 4, count=1)
+    for check in (partial(classify, rho), partial(tradeoff_check, rho), partial(run_sweep, spec)):
+        with pytest.raises(ValueError, match="comparison tolerance must be positive and finite"):
+            check(tol=tol)
 
 
 def test_tradeoff_bound_value_d3():

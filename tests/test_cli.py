@@ -711,6 +711,21 @@ def test_tolerance_env_override(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["classify", "--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5", "--tol", "0"],
+        ["tradeoff", "--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5", "--tol", "-1"],
+        ["verify", "--d", "2", "--parties", "3", "--samples", "2", "--seed", "1", "--tol", "0"],
+    ],
+    ids=["classify", "tradeoff", "verify"],
+)
+def test_non_positive_tolerance_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: comparison tolerance must be positive") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["classify", "--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5"],
         ["verify", "--d", "2", "--parties", "3", "--samples", "2", "--seed", "1"],
     ],

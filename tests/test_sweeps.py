@@ -277,34 +277,30 @@ def test_sample_spec_refuses_counts_past_the_seed_indices():
 def test_stage_clock_counts_each_stage_once(monkeypatch):
     ticks = iter(range(10))
     monkeypatch.setattr(sweeps, "perf_counter", lambda: next(ticks))
-    clock = sweeps._StageClock()
+    clock = sweeps._StageClock(("outer", "inner"))
     # outer starts at 0, inner runs from 1 to 2, outer ends at 3
     assert clock.run("outer", clock.run, "inner", lambda: 7) == 7
     assert clock.seconds == {"inner": 1, "outer": 2}
 
 
-def test_stage_timings_are_reported_only_when_asked(monkeypatch):
+def test_stage_timings_are_always_reported():
     spec = SampleSpec(3, 4, PURE_HAAR, 8, 5)  # two chunks
     start = time.perf_counter()
-    timed = run_sweep(spec, timings=True)
+    timed = run_sweep(spec)
     elapsed = time.perf_counter() - start
     stages = ["rho", "coeffs", "norms", "separable"]
     assert list(timed.timings) == stages + available_checks(spec)
     assert all(timed.timings[stage] > 0 for stage in stages)
     assert all(seconds >= 0 for seconds in timed.timings.values())
     assert sum(timed.timings.values()) <= elapsed  # no stage is counted inside another
-
-    def no_timer():
-        raise AssertionError("the clock read a timer while off")
-
-    monkeypatch.setattr(sweeps, "perf_counter", no_timer)
-    plain = run_sweep(spec)
-    assert plain.timings is None and plain == timed
+    assert run_sweep(spec) == timed  # reports compare equal whatever their timings
+    checks = ["separable-1-3", "ball-radius"]
+    assert list(run_sweep(spec, checks=checks).timings) == stages + checks
 
 
 def test_stages_no_check_needs_read_zero():
     spec = SampleSpec(2, 4, MIXED_GINIBRE, 5, 1)
-    timings = run_sweep(spec, checks=["ball-radius"], timings=True).timings
+    timings = run_sweep(spec, checks=["ball-radius"]).timings
     assert timings["separable"] == 0.0
     assert list(timings) == ["rho", "coeffs", "norms", "separable", "ball-radius"]
 
