@@ -4,13 +4,15 @@ Subcommands: ``basis``, ``decompose``, ``bounds``, ``classify``, ``measure``,
 ``tradeoff``, ``verify``. States come either from a JSON document
 (``--state FILE``) or inline (``--builtin NAME --d ... [--parties/--x]``).
 Reports print as JSON (``--format json``) or as indented text carrying the
-same values. Exit codes: 0 on success, 1 when a verification sweep fails,
-2 on input or validation errors (one diagnostic line on stderr).
+same values. Exit codes: 0 on success, 1 only when a verification sweep
+fails, 2 on any other failure (out of memory and a closed stdout included),
+with one ``error:`` line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -50,13 +52,9 @@ _M_MMAP_THRESHOLD = -3
 _MALLOC_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _build_parser():
@@ -155,41 +153,39 @@ def _state_arguments(sub):
 
 
 def _resolve_tol(args, default=None):
-    tol = args.tol
-    if tol is None:
-        raw = os.environ.get(TOL_ENV_VAR)
-        if raw is not None:
-            try:
-                tol = float(raw)
-            except ValueError:
-                raise _CliError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
-    return default if tol is None else tol
+    raw = os.environ.get(TOL_ENV_VAR)
+    if args.tol is not None or raw is None:
+        return default if args.tol is None else args.tol
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
 
 
 def _load_state(args):
     if args.state is not None:
         for flag, value in (("--d", args.d), ("--parties", args.parties), ("--x", args.x)):
             if value is not None:
-                raise _CliError(f"{flag} applies to --builtin only, not to --state")
+                raise ValueError(f"{flag} applies to --builtin only, not to --state")
         with open(args.state, "r", encoding="utf-8") as handle:
             try:
                 return state_from_json(json.load(handle))
             except RecursionError:
-                raise _CliError(f"state file {args.state} is nested too deeply") from None
+                raise ValueError(f"state file {args.state} is nested too deeply") from None
     if args.d is None:
-        raise _CliError("--builtin requires --d")
+        raise ValueError("--builtin requires --d")
     obj = {"kind": "builtin", "name": args.builtin, "d": args.d, "params": {}}
     # the document rules which party counts a builtin takes
     if args.parties is not None:
         obj["parties"] = args.parties
     elif args.builtin == "ghz":
-        raise _CliError("--builtin ghz requires --parties")
+        raise ValueError("--builtin ghz requires --parties")
     if args.builtin == "isotropic_ghz4":
         if args.x is None:
-            raise _CliError("--builtin isotropic_ghz4 requires --x")
+            raise ValueError("--builtin isotropic_ghz4 requires --x")
         obj["params"]["x"] = args.x
     elif args.x is not None:
-        raise _CliError("--x applies to --builtin isotropic_ghz4 only")
+        raise ValueError("--x applies to --builtin isotropic_ghz4 only")
     return state_from_json(obj)
 
 
@@ -197,7 +193,7 @@ def _parse_subset(raw):
     try:
         return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise _CliError(f"--subset must be comma-separated integers, got {raw!r}") from None
+        raise ValueError(f"--subset must be comma-separated integers, got {raw!r}") from None
 
 
 def _cmd_basis(args):
@@ -420,17 +416,19 @@ def _keep_freed_arrays_mapped():
 
 
 def main(argv=None) -> int:
-    _keep_freed_arrays_mapped()
     try:
+        _keep_freed_arrays_mapped()
         args = _build_parser().parse_args(argv)
         report, code = args.handler(args)
-    except (_CliError, ValueError, TypeError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = _dumps(report) if args.format == "json" else "\n".join(_render_text(report))
+        print(text, flush=True)
+    except Exception as exc:
+        if isinstance(exc, BrokenPipeError):  # so the flush at exit writes to os.devnull
+            with contextlib.suppress(OSError):  # where stdout has a descriptor
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(_dumps(report))
-    else:
-        print("\n".join(_render_text(report)))
     return code
 
 

@@ -502,10 +502,9 @@ def _chunk_size(spec):
 def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepReport:
     """Evaluate the requested checks on ``spec.count`` seeded samples.
 
-    ``checks=None`` selects every check applicable to the spec; requesting
-    no check, a check by name that does not apply or a check twice raises
-    ValueError. ``tol``, positive and finite, overrides every check's own
-    tolerance when given.
+    ``checks=None`` selects every check applicable to the spec; a string, no
+    check, a check that does not apply or a check twice raises ValueError.
+    A given ``tol``, positive and finite, overrides every check's own tolerance.
     The ``separable-*`` checks draw their own class-constrained mixtures
     (same count and seed schedule, all selected classes from one read of
     each stream) instead of using the spec's ensemble kind. A drawn sample or member
@@ -514,6 +513,8 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     """
     if tol is not None:
         tol = _check_tol(tol)
+    if isinstance(checks, str):
+        raise ValueError("checks must be a sequence of check names, not a string")
     selected = []
     for name in available_checks(spec) if checks is None else checks:
         check = _BY_NAME.get(name)

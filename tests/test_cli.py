@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import platform
 import re
+import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +508,51 @@ def test_error_paths_exit_two(capsys, tmp_path):
     # wrong arity for the subcommand
     code, _, err = run_cli(capsys, "classify", "--builtin", "ghz", "--d", "2", "--parties", "3")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: MemoryError"),
+        (MemoryError("Unable to allocate 1.00 GiB"), "error: Unable to allocate 1.00 GiB"),
+        (RuntimeError("boom"), "error: boom"),
+    ],
+    ids=["bare-memory-error", "memory-error", "runtime-error"],
+)
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("run_sweep", ["verify", "--d", "2", "--parties", "3", "--samples", "2", "--seed", "1"]),
+        ("full_decomposition", ["decompose", "--builtin", "ghz", "--d", "2", "--parties", "2"]),
+    ],
+    ids=["verify", "decompose"],
+)
+def test_any_failure_exits_two_with_one_line(capsys, monkeypatch, exc, line, target, argv):
+    # exit 1 means a failed sweep; any other exception used to exit 1 with a traceback
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (2, "", line + "\n")
+
+
+def test_a_reader_closing_stdout_early_exits_two_with_one_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["decompose", "--builtin", "ghz", "--d", "4", "--parties", "4", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blochbounds.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

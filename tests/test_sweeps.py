@@ -261,6 +261,24 @@ def test_duplicate_checks_rejected(checks):
         run_sweep(SampleSpec(2, 3, PURE_HAAR, 5, 0), checks=checks)
 
 
+@pytest.mark.parametrize("checks", ["ball-radius", "b"])
+def test_a_string_of_checks_is_refused_by_name(checks):
+    # a string used to be read one character at a time: "unknown check 'b'"
+    message = "^checks must be a sequence of check names, not a string$"
+    with pytest.raises(ValueError, match=message):
+        run_sweep(SampleSpec(2, 3, PURE_HAAR, 2, 0), checks=checks)
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [["ball-radius"], ("ball-radius",), iter(["ball-radius"])],
+    ids=["list", "tuple", "iterator"],
+)
+def test_check_sequences_and_iterators_select_the_same_checks(checks):
+    report = run_sweep(SampleSpec(2, 3, PURE_HAAR, 2, 0), checks=checks)
+    assert [c.name for c in report.checks] == ["ball-radius"] and report.passed
+
+
 def test_empty_check_selection_has_its_own_message():
     with pytest.raises(ValueError, match="^no checks requested$"):
         run_sweep(SampleSpec(2, 3, PURE_HAAR, 5, 0), checks=[])
