@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: ``basis``, ``decompose``, ``bounds``, ``classify``, ``measure``,
-``tradeoff``, ``verify``. States come either from a JSON document
-(``--state FILE``) or inline (``--builtin NAME --d ... [--parties/--x]``).
-Reports print as JSON (``--format json``) or as indented text carrying the
-same values. Exit codes: 0 on success, 1 only when a verification sweep
-fails, 2 on any other failure (out of memory and a closed stdout included),
-with one ``error:`` line on stderr and no traceback.
+``tradeoff``, ``verify``. States come from a JSON document (``--state FILE``)
+or from a builtin document's flags: ``--builtin``, ``--d``, ``--parties`` and
+``--x`` are its ``name``, ``d``, ``parties`` and ``params.x``, and a flag left
+out is a key left out, so every builtin refusal is the document's own. Reports
+print as JSON (``--format json``) or as indented text carrying the same
+values. Exit codes: 0 on success, 1 only when a verification sweep fails, 2
+on any other failure (out of memory and a closed stdout included), with one
+``error:`` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -172,21 +174,9 @@ def _load_state(args):
                 return state_from_json(json.load(handle))
             except RecursionError:
                 raise ValueError(f"state file {args.state} is nested too deeply") from None
-    if args.d is None:
-        raise ValueError("--builtin requires --d")
-    obj = {"kind": "builtin", "name": args.builtin, "d": args.d, "params": {}}
-    # the document rules which party counts a builtin takes
-    if args.parties is not None:
-        obj["parties"] = args.parties
-    elif args.builtin == "ghz":
-        raise ValueError("--builtin ghz requires --parties")
-    if args.builtin == "isotropic_ghz4":
-        if args.x is None:
-            raise ValueError("--builtin isotropic_ghz4 requires --x")
-        obj["params"]["x"] = args.x
-    elif args.x is not None:
-        raise ValueError("--x applies to --builtin isotropic_ghz4 only")
-    return state_from_json(obj)
+    # the flags are the builtin document's keys, so the document rules what each builtin takes
+    doc = {"kind": "builtin", "name": args.builtin, "d": args.d, "parties": args.parties}
+    return state_from_json({**doc, "params": {} if args.x is None else {"x": args.x}})
 
 
 def _parse_subset(raw):

@@ -503,7 +503,8 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     """Evaluate the requested checks on ``spec.count`` seeded samples.
 
     ``checks=None`` selects every check applicable to the spec; a string, no
-    check, a check that does not apply or a check twice raises ValueError.
+    check, a name that is no check's (a non-string included), a check that does
+    not apply or a check twice raises ValueError.
     A given ``tol``, positive and finite, overrides every check's own tolerance.
     The ``separable-*`` checks draw their own class-constrained mixtures
     (same count and seed schedule, all selected classes from one read of
@@ -517,7 +518,7 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
         raise ValueError("checks must be a sequence of check names, not a string")
     selected = []
     for name in available_checks(spec) if checks is None else checks:
-        check = _BY_NAME.get(name)
+        check = _BY_NAME.get(name) if isinstance(name, str) else None
         if check is None:
             raise ValueError(f"unknown check {name!r}; available: {', '.join(_BY_NAME)}")
         if not _applicable(check, spec):

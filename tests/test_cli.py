@@ -678,8 +678,8 @@ def test_state_and_builtin_are_mutually_exclusive(capsys, tmp_path):
     [
         (["--builtin", "product_max_entangled", "--d", "2", "--parties", "3"], "always 4-party"),
         (["--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5", "--parties", "2"], "always 4-party"),
-        (["--builtin", "ghz", "--d", "2", "--parties", "4", "--x", "0.5"], "--x applies to"),
-        (["--builtin", "product_max_entangled", "--d", "2", "--x", "0.5"], "--x applies to"),
+        (["--builtin", "ghz", "--d", "2", "--parties", "4", "--x", "0.5"], "takes no parameter 'x'"),
+        (["--builtin", "product_max_entangled", "--d", "2", "--x", "0.5"], "takes no parameter 'x'"),
         (["--state", "s.json", "--d", "2"], "--d applies to --builtin only"),
         (["--state", "s.json", "--parties", "4"], "--parties applies to --builtin only"),
         (["--state", "s.json", "--x", "0.5"], "--x applies to --builtin only"),
@@ -694,6 +694,78 @@ def test_state_flags_the_state_does_not_take_exit_two(capsys, tmp_path, monkeypa
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert message in err
+
+
+def _builtin_doc(name, **keys):
+    return {"kind": "builtin", "name": name, **keys}
+
+
+# each --builtin flag set beside the document it stands for: --d is d, --parties is
+# parties and --x is params.x, and a flag left out is a key left out
+BUILTIN_REFUSALS = {
+    "no-d": (["--builtin", "ghz", "--parties", "3"], _builtin_doc("ghz", parties=3)),
+    "ghz-no-parties": (["--builtin", "ghz", "--d", "2"], _builtin_doc("ghz", d=2)),
+    "iso-no-x": (["--builtin", "isotropic_ghz4", "--d", "2"], _builtin_doc("isotropic_ghz4", d=2)),
+    "ghz-x": (
+        ["--builtin", "ghz", "--d", "2", "--parties", "3", "--x", "0.5"],
+        _builtin_doc("ghz", d=2, parties=3, params={"x": 0.5}),
+    ),
+    "pme-x": (
+        ["--builtin", "product_max_entangled", "--d", "2", "--x", "0.5"],
+        _builtin_doc("product_max_entangled", d=2, params={"x": 0.5}),
+    ),
+    "pme-parties": (
+        ["--builtin", "product_max_entangled", "--d", "2", "--parties", "3"],
+        _builtin_doc("product_max_entangled", d=2, parties=3),
+    ),
+    "iso-parties": (
+        ["--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.5", "--parties", "2"],
+        _builtin_doc("isotropic_ghz4", d=2, parties=2, params={"x": 0.5}),
+    ),
+}
+
+BUILTIN_ACCEPTS = {
+    "ghz": (["--builtin", "ghz", "--d", "3", "--parties", "3"], _builtin_doc("ghz", d=3, parties=3)),
+    "iso": (
+        ["--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.7"],
+        _builtin_doc("isotropic_ghz4", d=2, params={"x": 0.7}),
+    ),
+    "iso-parties": (
+        ["--builtin", "isotropic_ghz4", "--d", "2", "--x", "0.7", "--parties", "4"],
+        _builtin_doc("isotropic_ghz4", d=2, parties=4, params={"x": 0.7}),
+    ),
+    "pme": (
+        ["--builtin", "product_max_entangled", "--d", "2"],
+        _builtin_doc("product_max_entangled", d=2),
+    ),
+    "pme-parties": (
+        ["--builtin", "product_max_entangled", "--d", "2", "--parties", "4"],
+        _builtin_doc("product_max_entangled", d=2, parties=4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILTIN_REFUSALS))
+def test_builtin_flags_and_documents_refuse_alike(capsys, tmp_path, case):
+    # the flags are the document's keys, so both routes refuse in the document's words
+    argv, doc = BUILTIN_REFUSALS[case]
+    code, out, flags_err = run_cli(capsys, "classify", *argv)
+    assert code == 2 and out == ""
+    assert flags_err.startswith("error:") and len(flags_err.strip().splitlines()) == 1
+    path = _state_file(tmp_path, json.dumps(doc))
+    code, out, doc_err = run_cli(capsys, "classify", "--state", path)
+    assert code == 2 and out == ""
+    assert flags_err == doc_err
+
+
+@pytest.mark.parametrize("case", sorted(BUILTIN_ACCEPTS))
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_builtin_flags_and_documents_give_the_same_report(capsys, tmp_path, case, fmt):
+    argv, doc = BUILTIN_ACCEPTS[case]
+    flags = run_cli(capsys, "decompose", *argv, "--format", fmt)
+    path = _state_file(tmp_path, json.dumps(doc))
+    assert flags[0] == 0 and flags[1]
+    assert run_cli(capsys, "decompose", "--state", path, "--format", fmt) == flags
 
 
 @pytest.mark.parametrize("case", sorted(UNREAD_PARAM_DOCS))

@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 import blochbounds
 from blochbounds import basis, bloch, bounds, sampling, serialize, states, sweeps
 
@@ -30,3 +34,15 @@ def test_package_exports_the_union_of_module_exports():
     assert len(EARLIER_EXPORTS) == 61
     assert set(EARLIER_EXPORTS) <= set(blochbounds.__all__)
     assert isinstance(blochbounds.__version__, str)
+
+
+def test_readme_quick_start_runs_and_its_claims_hold():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    bb, report = namespace["bb"], namespace["report"]
+    assert bb.tensor_norm_sq(namespace["t"]) == namespace["outcome"].max_observed
+    assert sorted(report.excluded) == ["1-1-1-1", "1-1-2", "1-3"]
+    assert report.norm_sq_1234 == pytest.approx(4.41, abs=1e-12)
+    assert bb.et_measure(namespace["psi"]) == pytest.approx(bb.et_upper_bound(3, 3), abs=1e-12)

@@ -247,6 +247,13 @@ def test_unknown_or_inapplicable_checks_rejected():
         run_sweep(mixed, checks=["marginal-purity"])
 
 
+@pytest.mark.parametrize("name", [["ball-radius"], None, 3, b"ball-radius"])
+def test_a_check_name_that_is_not_a_string_is_an_unknown_check(name):
+    # an unhashable name used to raise TypeError from the name lookup
+    with pytest.raises(ValueError, match="^unknown check "):
+        run_sweep(SampleSpec(2, 3, PURE_HAAR, 2, 0), checks=[name])
+
+
 @pytest.mark.parametrize(
     "checks",
     [
