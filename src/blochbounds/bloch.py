@@ -156,13 +156,13 @@ def _coefficients(mats, d, n) -> np.ndarray:
     """All ``Tr(rho B_i1 x ... x B_in)`` over the extended basis for a stack of matrices.
 
     ``mats`` is any stack of ``d^n x d^n`` matrices, such as ``(B, d^n, d^n)``
-    or ``(count, rows, d^n, d^n)``; it is read, never written. Returns shape
-    ``(B,) + (d**2,) * n`` with ``B`` the number of matrices. The stack is
-    copied once into the layout ``(r1, c1, ..., rn, cn, B)`` (row and
-    column digit of each party, stack last); one gemm per party then
-    contracts the leading digit pair with the local basis. Index 0 on a
-    party stands for the identity there, so ``C[b, 0, ..., 0]`` is the
-    trace of matrix b and every ``T^(S)`` is a slice.
+    or ``(count, rows, d^n, d^n)``; it is read, never written. Returns a
+    compact real array of shape ``(B,) + (d**2,) * n`` with ``B`` the number
+    of matrices. The stack is copied once into the layout ``(r1, c1, ...,
+    rn, cn, B)`` (row and column digit of each party, stack last); one gemm
+    per party then contracts the leading digit pair with the local basis.
+    Index 0 on a party stands for the identity there, so ``C[b, 0, ..., 0]``
+    is the trace of matrix b and every ``T^(S)`` is a slice.
     """
     count = mats.size // d ** (2 * n)
     # axes of the input digits: the stack, then n row digits, then n column digits
@@ -171,13 +171,15 @@ def _coefficients(mats, d, n) -> np.ndarray:
     work[...] = mats.reshape((count,) + (d,) * (2 * n)).transpose(axes)
     forward, _ = _pass_matrices(d)
     coeffs = _party_steps(work, forward, n).reshape((count,) + (d * d,) * n)
+    del work  # for odd n the steps end in the other array: free this one now
     # the trace entries are validated by the states themselves; skip them here
     residue = float(np.abs(coeffs.imag).reshape(count, -1)[:, 1:].max())
     if not residue <= IMAG_RESIDUE_TOL:
         raise ValueError(
             f"coefficients carry imaginary residue {residue:.3e}; input is not Hermitian enough"
         )
-    return coeffs.real
+    # a compact copy: a ``.real`` view would keep the whole complex array alive
+    return coeffs.real.copy()
 
 
 def _subset_slice(parts, num_parties):
@@ -251,6 +253,7 @@ def _rebuild(coeffs, d, n) -> np.ndarray:
     work[(0,) * n] = 1.0
     _, reverse = _pass_matrices(d)
     mat = _party_steps(work, reverse, n)
+    del work  # for odd n the steps end in the other array: free this one before the copy out
     # the steps leave (B, r1, c1, ..., rn, cn)
     order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
     return mat.reshape((count,) + (d,) * (2 * n)).transpose(order).reshape(-1, d**n, d**n)

@@ -2,13 +2,15 @@
 
 A sweep draws ``count`` states from one sample specification and evaluates a
 set of named checks on every state, recording the worst case per check and
-the sample that produced it. Samples are processed in chunks sized by
-``CHUNK_BYTES`` (640 KiB of dense arrays: 6 samples at d=3, n=4): a
-chunk's states are drawn, validated and decomposed as one stack, and each
-check maps the chunk to one value per sample. All reductions are
-max/all-of over samples drawn from their own seeds, so a report is the
-same bytes for a fixed spec whatever the chunking. A NaN observation makes
-its check's maximum NaN, and a NaN maximum fails the check.
+the sample that produced it. Samples are processed in chunks, as many as
+fit the peak of ``CHUNK_BYTES`` (3.75 MiB: 10 samples at d=3, n=4 with
+every check): a chunk's states are drawn, validated and decomposed as one
+stack, and each check maps the chunk to one value per sample. A chunk runs
+its ``separable-*`` checks first, so their stage is freed before the
+samples' stack is drawn. All reductions are max/all-of over samples drawn
+from their own seeds, so a report is the same bytes for a fixed spec
+whatever the chunking and the order the checks run in. A NaN observation
+makes its check's maximum NaN, and a NaN maximum fails the check.
 
 A chunk validates what it draws, once, where it draws it: the amplitude
 rows of pure samples, the matrices of mixed ones, and the
@@ -26,6 +28,7 @@ chunk keeps only its squared norms.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
@@ -96,18 +99,26 @@ MIXED_GINIBRE = "mixed-ginibre"
 BOUND_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-10
 
-#: Byte budget of one sweep chunk, in the units of ``states.MAX_DENSE_BYTES``:
-#: a chunk holds as many samples as this many bytes of their dense arrays
-#: allow, and at least one. That is 6 samples at d=3, n=4, 56 at d=3, n=3,
-#: 160 at d=2, n=4 and 1 at d=4, n=4. The transient arrays of a chunk take a
-#: small multiple of the budget, so the memory a sweep needs does not grow
-#: with ``count``: a d=3, n=4 pure sweep with every check peaks at 5.8 times
-#: the budget (``tracemalloc``), where the separable members' three-party
-#: blocks are contracted while the samples' stack and coefficients are held.
-#: A d=2, n=4 sweep, pure or mixed, peaks at 13.1 times it (8.6 MB at 160
-#: samples): the budget does not count the separable draws of a chunk's
-#: samples, 88 block vectors each, their projectors and coefficients.
-CHUNK_BYTES = 5 << 17
+#: Bytes a sweep chunk may peak at (``tracemalloc``), so the memory a sweep
+#: needs does not grow with ``count``. A chunk holds as many samples as the
+#: per-sample peak of the larger stage its checks build allows (see
+#: ``_chunk_size``), and at least one: with every check, 10 pure samples at
+#: d=3, n=4 and 114 at d=2, n=4 (peaking at 0.94 and 0.95 of the budget),
+#: 1 at d=4, n=4. A sample whose stage alone is larger than the budget
+#: makes a one-sample chunk that peaks above it: a mixed one at d=4, n=4
+#: (1.33 times), and every one from d=5 on.
+CHUNK_BYTES = 30 << 17
+
+#: Dense arrays (``states._dense_bytes``) per sample at the peak of the
+#: stages a chunk builds from its samples' states. Pure: 3.5, in the round
+#: trip (the states, their compact coefficients and the pass's two work
+#: arrays). Mixed: 5 are live at the positivity gate of the validation (the
+#: matrices, their adjoint, the Hermitian part, its shifted copy and the
+#: Cholesky factor); 6 are counted, which keeps mixed chunks near their
+#: sizes under the dense-byte budget before (614 / 55 / 156 / 6 samples
+#: against 640 / 56 / 160 / 6 at d, n = 2, 3 / 3, 3 / 2, 4 / 3, 4): larger
+#: mixed chunks were measured no faster.
+_DENSE_ARRAYS = {PURE_HAAR: 3.5, MIXED_GINIBRE: 6}
 
 
 @dataclass(frozen=True)
@@ -277,8 +288,7 @@ class _Chunk:
 
     @_stage("separable")
     def separable(self):
-        tensors = _separable_tensors(self.spec.local_dim, self.labels, self.seeds)
-        return {label: _squared_norms(tensor) for label, tensor in tensors.items()}
+        return _separable_tensors(self.spec.local_dim, self.labels, self.seeds, _squared_norms)
 
 
 def _max_order_norm(ctx, size):
@@ -297,12 +307,17 @@ def _marginal_purity_gap(ctx):
     marginal shows as a gap.
     """
     d, n = ctx.spec.local_dim, ctx.spec.num_parties
+    parties = range(1, n + 1)
+    # party -> the marginal on every other party
+    rests = {i: _partial_trace(ctx.rho, d, n, tuple(p for p in parties if p != i)) for i in parties}
     gap = np.zeros(len(ctx.rho))
-    for i in range(1, n + 1):
-        rest = tuple(p for p in range(1, n + 1) if p != i)
-        one = _purities(_partial_trace(ctx.rho, d, n, (i,)))
-        others = _purities(_partial_trace(ctx.rho, d, n, rest))
-        gap = np.maximum(gap, np.abs(one - others))
+    for i in parties:
+        # ``_partial_trace`` traces the highest party first, so party i's marginal is
+        # traced on from the marginal without the highest other party (in which party n
+        # sits at n - 1): the same steps on the same values, so the same bits
+        top = n if i < n else n - 1
+        one = _purities(_partial_trace(rests[top], d, n - 1, (min(i, n - 1),)))
+        gap = np.maximum(gap, np.abs(one - _purities(rests[i])))
     return gap
 
 
@@ -319,8 +334,8 @@ def _round_trip_error(ctx):
     return np.linalg.norm(rebuilt, axis=(-2, -1))
 
 
-def _separable_tensors(d, labels, seeds):
-    """Flat ``T^(1234)`` of constructed separable mixtures: class -> one row per seed.
+def _separable_tensors(d, labels, seeds, reduce=lambda tensor: tensor):
+    """Flat ``T^(1234)`` of constructed separable mixtures: class -> ``reduce`` of a row per seed.
 
     The members of all classes in ``labels`` are drawn together and
     validated where they are drawn, once per stack: their weights (the
@@ -331,7 +346,8 @@ def _separable_tensors(d, labels, seeds):
     ``sum_s perm_s((A w_s)^T @ B)`` with ``A`` the outer product of all
     blocks but the last, ``B`` the last block's tensor and ``w_s`` the
     weights of the members that picked split ``s``. No ``d^4 x d^4``
-    matrix is formed.
+    matrix is formed. Each class's tensor is reduced before the next class
+    is assembled, so a chunk that keeps only norms holds one tensor at a time.
     """
     weights, picks, stacks, slots = _separable_draws(d, labels, seeds)
     _check_weights(weights)
@@ -339,9 +355,12 @@ def _separable_tensors(d, labels, seeds):
     block_tensors = {}
     for k, stack in stacks.items():
         _check_amplitudes(stack.reshape(-1, d**k))
-        coeffs = _coefficients(_projectors(stack), d, k)[(slice(None),) + (slice(1, None),) * k]
-        block_tensors[k] = coeffs.reshape(count, stack.shape[1], -1)
-    tensors = {}
+        generators = (slice(None),) + (slice(1, None),) * k
+        # a flat copy of the generator entries (a view for k = 1): the pass's array is freed
+        block_tensors[k] = _coefficients(_projectors(stack), d, k)[generators].reshape(
+            count, stack.shape[1], -1
+        )
+    out = {}
     for c, label in enumerate(labels):
         blocks = [block_tensors[k][:, start : start + members] for k, start in slots[c]]
         head = blocks[0]
@@ -352,8 +371,9 @@ def _separable_tensors(d, labels, seeds):
             picked = np.where(picks[:, c] == split, weights, 0.0)
             mixed = (head * picked[..., None]).swapaxes(-1, -2) @ blocks[-1]
             total += mixed.reshape(total.shape).transpose(0, *(1 + axis for axis in order))
-        tensors[label] = total.reshape(count, -1)
-    return tensors
+            del mixed  # freed before the next split's product is formed
+        out[label] = reduce(total.reshape(count, -1))
+    return out
 
 
 def separable_tensor(d, label, seed) -> BlochTensor:
@@ -494,9 +514,42 @@ def available_checks(spec: SampleSpec | None = None):
     return [check.name for check in _CHECKS if _applicable(check, spec)]
 
 
-def _chunk_size(spec):
-    """Samples per chunk: as many as ``CHUNK_BYTES`` holds dense arrays of the spec's size."""
-    return max(1, CHUNK_BYTES // _dense_bytes(spec.local_dim, spec.num_parties))
+def _separable_bytes(d):
+    """Peak bytes one sample adds to a chunk's ``separable`` stage that draws all four classes.
+
+    The stage peaks in the Bloch pass of the largest blocks: their
+    projectors and the pass's two work arrays, three complex arrays of
+    ``rows * d^(2k)`` entries, while the block vectors and the smaller
+    blocks' compact tensors are held. At d <= 4 the assembly of a class
+    holds less (every block's tensor, the outer product of all blocks but
+    the last twice and two ``T^(1234)`` arrays); from d = 5 on, one sample
+    fills a chunk either way. Fewer classes draw fewer blocks and peak lower.
+    """
+    # block party count -> blocks per member over the classes, then block rows per sample
+    per_member = Counter(k for label in SEPARABLE_SPLITS for k in _SPLIT_LAYOUTS[label][0])
+    rows = {k: SEPARABLE_MEMBERS * count for k, count in per_member.items()}
+    top = max(rows)
+    vectors = sum(16 * r * d**k for k, r in rows.items())
+    tensors = sum(8 * r * d ** (2 * k) for k, r in rows.items() if k < top)
+    return vectors + tensors + 3 * 16 * rows[top] * d ** (2 * top)
+
+
+def _chunk_size(spec, checks):
+    """Samples per chunk: as many as ``CHUNK_BYTES`` holds, and at least one.
+
+    A sample costs the peak of the larger of the two stages the selected
+    ``checks`` build, which never exist at once: the separable stage
+    (``_separable_bytes``) and the stage of its own state
+    (``_DENSE_ARRAYS``), plus its per-subset values.
+    """
+    stages = []
+    if any(check.separable for check in checks):
+        stages.append(_separable_bytes(spec.local_dim))
+    if not all(check.separable for check in checks):
+        stages.append(_DENSE_ARRAYS[spec.kind] * _dense_bytes(spec.local_dim, spec.num_parties))
+    # four floats per subset: the norms, their sums and maxima, and each check's values
+    values = 32 * 2**spec.num_parties
+    return max(1, int(CHUNK_BYTES // (max(stages) + values)))
 
 
 def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepReport:
@@ -535,11 +588,13 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     # check name -> (index, value) of its worst sample so far
     worst = {check.name: (0, -math.inf) for check in selected}
     clock = _StageClock((*_STAGES, *(check.name for check in selected)))
-    size = _chunk_size(spec)
+    # a chunk's separable stage frees its arrays before the samples' stack is drawn
+    ordered = sorted(selected, key=lambda check: check.separable is None)
+    size = _chunk_size(spec, selected)
     for start in range(0, spec.count, size):
         indices = range(start, min(start + size, spec.count))
         ctx = _Chunk(spec, [sample_seed(spec.base_seed, i) for i in indices], labels, clock)
-        for check in selected:
+        for check in ordered:
             values = clock.run(check.name, check.evaluate, ctx)
             i = int(np.argmax(values))  # the first NaN, else the first maximum
             value = float(values[i])

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,10 +73,16 @@ def test_sample_spec_refuses_sizes_over_the_dense_cap():
         SampleSpec(1000, 4, PURE_HAAR, 1, 0)
 
 
+def _chunk_size(spec, names=None):
+    """Samples per chunk of ``run_sweep(spec, names)``; ``None`` selects every applicable check."""
+    names = available_checks(spec) if names is None else names
+    return sweeps._chunk_size(spec, [sweeps._BY_NAME[name] for name in names])
+
+
 def test_nan_observation_fails_its_check(monkeypatch):
     # a NaN on one sample must survive the max within its chunk and across chunks:
     # on a middle sample of the first chunk, and on the first sample of the second
-    size = sweeps._chunk_size(SampleSpec(2, 3, PURE_HAAR, 1, 0))
+    size = _chunk_size(SampleSpec(2, 3, PURE_HAAR, 1, 0), ["ball-radius"])
     spec = SampleSpec(2, 3, PURE_HAAR, size + 3, 0)
     original = sweeps._max_order_norm
     for target in (size // 2, size):
@@ -100,10 +107,10 @@ def test_nan_observation_fails_its_check(monkeypatch):
 
 
 def test_sweep_validates_every_state_it_builds(monkeypatch):
-    # per chunk the sweep validates what it draws, once: the pure samples' amplitude
-    # rows (or the mixed samples' matrices) and the separable members of all four
-    # classes (the weights they share, and their block vectors as one stack per
-    # block size). Marginals and reconstructions are measured by their checks, and no dense
+    # per chunk the sweep validates what it draws, once: the separable members of all
+    # four classes (the weights they share, and their block vectors as one stack per
+    # block size), then the pure samples' amplitude rows (or the mixed samples'
+    # matrices). Marginals and reconstructions are measured by their checks, and no dense
     # separable mixture is formed: the only d^4 x d^4 stack contracted is the samples
     from blochbounds import sampling
 
@@ -119,34 +126,65 @@ def test_sweep_validates_every_state_it_builds(monkeypatch):
 
         monkeypatch.setattr(sweeps, name, recording)
 
-    def shapes(name):
-        return [shape for seen_name, shape in seen if seen_name == name]
-
-    size = sweeps._chunk_size(SampleSpec(2, 4, PURE_HAAR, 1, 0))
+    size = _chunk_size(SampleSpec(2, 4, PURE_HAAR, 1, 0))
     # 8 members of each class: k-party blocks per member summed over the four classes
     rows = {k: 8 * sum(
         [len(block) for block in splits[0]].count(k) for splits in SEPARABLE_SPLITS.values()
     ) for k in (1, 2, 3)}
     assert rows == {1: 56, 2: 24, 3: 8}
+
+    def calls(samples):
+        # per chunk of b samples: the separable stage, then the samples' own stack
+        return [
+            call
+            for b in (size, 3)
+            for call in [("_check_weights", (b, 8))]
+            + [
+                block
+                for k in (1, 2, 3)
+                for block in [
+                    ("_check_amplitudes", (b * rows[k], 2**k)),
+                    ("_coefficients", (b, rows[k], 2**k, 2**k)),
+                ]
+            ]
+            + samples(b)
+        ]
+
     run_sweep(SampleSpec(2, 4, PURE_HAAR, size + 3, 41))
-    assert shapes("_check_densities") == []
-    assert shapes("_check_weights") == [(size, 8), (3, 8)]
-    assert shapes("_check_amplitudes") == [
-        shape
-        for b in (size, 3)
-        for shape in [(b, 16)] + [(b * rows[k], 2**k) for k in (1, 2, 3)]
-    ]
-    contracted = shapes("_coefficients")
-    assert [shape for shape in contracted if shape[-1] == 16] == [(size, 16, 16), (3, 16, 16)]
-    assert len(contracted) == 2 * (1 + len(rows))
+    pure = calls(lambda b: [("_check_amplitudes", (b, 16)), ("_coefficients", (b, 16, 16))])
+    assert seen == pure
 
     seen.clear()
     run_sweep(SampleSpec(2, 4, MIXED_GINIBRE, size + 3, 41))
-    assert shapes("_check_densities") == [(size, 16, 16), (3, 16, 16)]
-    assert shapes("_check_weights") == [(size, 8), (3, 8)]
-    assert shapes("_check_amplitudes") == [
-        (b * rows[k], 2**k) for b in (size, 3) for k in (1, 2, 3)
-    ]
+    mixed = calls(lambda b: [("_check_densities", (b, 16, 16)), ("_coefficients", (b, 16, 16))])
+    assert seen == mixed
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [None, ["separable-2-2", "ball-radius"], ["ball-radius", "separable-2-2"]],
+    ids=["all", "separable-listed-first", "separable-listed-last"],
+)
+def test_a_chunk_builds_its_separable_stage_before_its_states(monkeypatch, checks):
+    # the separable stage's arrays are freed before the samples' stack is drawn, so a
+    # chunk peaks at the larger of the two stages, not at their sum; the report and
+    # its timings keep the order the checks were selected in
+    built = []
+    original = sweeps._StageClock.run
+
+    def run(clock, stage, build, *args):
+        if stage == "separable":
+            (chunk,) = args
+            built.append("rho" in vars(chunk))
+        return original(clock, stage, build, *args)
+
+    monkeypatch.setattr(sweeps._StageClock, "run", run)
+    spec = SampleSpec(3, 4, PURE_HAAR, 12, 3)
+    report = run_sweep(spec, checks)
+    names = available_checks(spec) if checks is None else checks
+    assert built == [False] * len(range(0, 12, _chunk_size(spec, names)))
+    assert [outcome.name for outcome in report.checks] == names
+    assert list(report.timings) == ["rho", "coeffs", "norms", "separable", *names]
 
 
 def _replays(name, observed, expected):
@@ -157,7 +195,7 @@ def _replays(name, observed, expected):
 
 
 def _chunk_counts(spec):
-    size = sweeps._chunk_size(spec)
+    size = _chunk_size(spec)
     return sorted({1, max(size - 1, 1), size, size + 1})
 
 
@@ -494,32 +532,42 @@ def test_reports_do_not_depend_on_chunking(capsys, monkeypatch, d, n, kind, coun
     argv = ["verify", "--d", str(d), "--parties", str(n), "--kind", kind,
             "--samples", str(count), "--seed", "11", "--format", "json"]
     sizes, outputs = [], []
-    for budget in (1 << 18, 5 << 17):
+    for budget in (3 << 19, 5 << 19):
         monkeypatch.setattr(sweeps, "CHUNK_BYTES", budget)
-        sizes.append(sweeps._chunk_size(SampleSpec(d, n, kind, count, 11)))
+        sizes.append(_chunk_size(SampleSpec(d, n, kind, count, 11)))
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert sizes[0] < sizes[1] and all(count % size for size in sizes)
     assert outputs[0] == outputs[1]
 
 
-def test_working_set_stays_a_small_multiple_of_the_chunk_budget():
-    # a d=3, n=4 pure sweep with every check peaks at about 5.8 x CHUNK_BYTES (see its
-    # comment), in the separable members' block contraction. Another array of half the
-    # samples' stack held at that point, such as a copy of their coefficients, pushes it
-    # past this multiple. At d=2, n=4 the chunk's 160 samples draw 160 x 8 members per
-    # class, whose blocks the budget does not count: the peak is about 13.1 x, pinned
-    # here so that it cannot grow unnoticed.
-    for spec, size, multiple in (
-        (SampleSpec(3, 4, PURE_HAAR, 8, 5), 6, 6.25),
-        (SampleSpec(2, 4, PURE_HAAR, 170, 5), 160, 13.5),
-    ):
-        assert sweeps._chunk_size(spec) == size
-        run_sweep(spec)  # the cached bases are not part of a chunk
+def _peak_specs():
+    # d = 2..4 at n = 4, pure, with every check, the separable checks only and the others
+    # only; and the mixed specs of the acceptance grid with the checks that build their stack
+    for d in (2, 3, 4):
+        spec = SampleSpec(d, 4, PURE_HAAR, 1, 5)
+        names = available_checks(spec)
+        yield spec, names
+        yield spec, [name for name in names if name.startswith("separable-")]
+        yield spec, [name for name in names if not name.startswith("separable-")]
+    for d, n in ((2, 3), (3, 3), (2, 4), (3, 4)):
+        spec = SampleSpec(d, n, MIXED_GINIBRE, 1, 5)
+        yield spec, [name for name in available_checks(spec) if not name.startswith("separable-")]
+
+
+def test_a_chunk_peaks_within_the_chunk_budget():
+    assert _chunk_size(SampleSpec(3, 4, PURE_HAAR, 1, 0)) == 10
+    for base, names in _peak_specs():
+        size = _chunk_size(base, names)
+        spec = SampleSpec(base.local_dim, base.num_parties, base.kind, size, base.base_seed)
+        run_sweep(spec, names)  # the cached bases are not part of a chunk
         tracemalloc.start()
         try:
-            run_sweep(spec)
+            run_sweep(spec, names)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < multiple * sweeps.CHUNK_BYTES, spec
+        if peak > sweeps.CHUNK_BYTES:
+            # the one allowed excess: a d=4 sample whose stage alone is larger than the budget
+            assert size == 1 and spec.local_dim == 4, (spec, names, peak)
+            warnings.warn(f"a one-sample chunk of {spec} peaks at {peak} bytes, above the budget")
