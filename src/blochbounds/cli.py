@@ -382,11 +382,13 @@ def _keep_freed_arrays_mapped():
 
     glibc serves a large block from a fresh mapping, or trims the heap top
     once enough is free, and its dynamic thresholds move as blocks come and
-    go. So a chunk's arrays (about 3 MB at d=3, n=4) went back to the system
-    and the next chunk faulted the same pages in again. This fixes the mmap
-    threshold at 32 MiB, the largest glibc takes on 64-bit, and the trim
-    threshold at twice that, as glibc's dynamic rule pairs them: both are
-    well above a chunk's largest working set (8.6 MB). It changes no value
+    go. So a chunk's arrays (up to ``sweeps.CHUNK_BYTES``, 3.75 MiB) went
+    back to the system and the next chunk faulted the same pages in again.
+    This fixes the mmap threshold at 32 MiB, the largest glibc takes on
+    64-bit, and the trim threshold at twice that, as glibc's dynamic rule
+    pairs them: both are well above a chunk's working set, at most
+    ``CHUNK_BYTES`` up to d=4 (a one-sample d=4, n=4 chunk, pure or mixed,
+    peaks at 3.5 MiB). It changes no value
     the program computes. It does nothing where the C library has no
     ``mallopt`` or refuses the value (a non-glibc or 32-bit libc), and
     nothing when the environment already tunes glibc's allocator.

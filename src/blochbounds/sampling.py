@@ -22,11 +22,13 @@ independent of how calls are scheduled.
 The draws are batched: each private ``_ginibre_densities`` /
 ``_haar_amplitudes`` / ``_separable_draws`` function takes a sequence of
 seeds, reads every seed's stream once and transforms the whole stack at
-once into raw arrays. The Haar and Ginibre draws read their uniforms with
-``Generator.random``, two calls per seed; the separable draws decode the
-raw words themselves, since the split picks and block uniforms of a
-mixture's ``SEPARABLE_MEMBERS`` members would take two ``Generator`` calls
-per member. Each class's stream has a fixed period (see
+once into raw arrays. A draw call builds one Philox and re-keys it for each
+seed (``_streams``), which reads the same words as a fresh
+``Philox(key=seed)`` per seed. The Haar and Ginibre draws read their
+uniforms with ``Generator.random``, two calls per seed; the separable
+draws decode the raw words themselves, since the split picks and block
+uniforms of a mixture's ``SEPARABLE_MEMBERS`` members would take two
+``Generator`` calls per member. Each class's stream has a fixed period (see
 ``_separable_draws``), so plain reshapes of the words find every value.
 They validate nothing: a public single-draw function is the same code at
 one seed, and its state's constructor validates the result, while a sweep
@@ -110,6 +112,23 @@ def sample_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
+def _sample_seeds(base_seed, start, stop) -> np.ndarray:
+    """``sample_seed(base_seed, i)`` for ``i`` in ``range(start, stop)``, as one uint64 array.
+
+    ``base_seed`` and the indices must be valid; the uint64 arithmetic wraps
+    modulo 2**64 as ``sample_seed`` masks.
+    """
+    z = np.arange(start, stop, dtype=np.uint64) + np.uint64(1)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64((base_seed + _GOLDEN) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _check_seed(seed, what="seed"):
     """``seed`` as an int in 0..2**64 - 1, a Philox key: the one validator of every seed."""
     seed = _check_int(seed, what)
@@ -118,8 +137,29 @@ def _check_seed(seed, what="seed"):
     return seed
 
 
-def _generator(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def _streams(seeds):
+    """A generator at the start of each seed's stream, in turn: one Philox, re-keyed per seed.
+
+    ``Philox(key=seed)`` is its key with the counter, the buffered words and
+    the pending 32-bit half all reset, so setting that state reads the words
+    a fresh ``Philox(key=seed)`` would, without constructing one per seed.
+    A caller finishes one seed's reads before it asks for the next.
+    """
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    key = [0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for seed in seeds:
+        key[0] = seed
+        bits.state = state
+        yield rng
 
 
 def _uniforms(words) -> np.ndarray:
@@ -148,11 +188,10 @@ def _complex_normals(seeds, count) -> np.ndarray:
     """
     u1 = np.empty((len(seeds), count))
     u2 = np.empty((len(seeds), count))
-    for row, seed in enumerate(seeds):
-        rng = _generator(seed)
-        u1[row] = 1.0 - rng.random(count)
-        u2[row] = rng.random(count)
-    return _box_muller(u1, u2)
+    for rng, row1, row2 in zip(_streams(seeds), u1, u2):
+        rng.random(out=row1)
+        rng.random(out=row2)
+    return _box_muller(np.subtract(1.0, u1, out=u1), u2)
 
 
 def _haar_amplitudes(d, n, seeds) -> np.ndarray:
@@ -236,7 +275,7 @@ def _read_members(d, label, seed):
     ``(SEPARABLE_MEMBERS,)`` picks and the ``(SEPARABLE_MEMBERS, 2 * sum of
     d**k)`` uniforms.
     """
-    rng = _generator(seed)
+    (rng,) = _streams([seed])
     rng.random(SEPARABLE_MEMBERS - 1)
     reads = 2 * sum(d**k for k in _SPLIT_LAYOUTS[label][0])
     picks = np.empty(SEPARABLE_MEMBERS, dtype=np.intp)
@@ -273,7 +312,7 @@ def _separable_draws(d, labels, seeds):
     reads = [2 * sum(d**k for k in _SPLIT_LAYOUTS[label][0]) for label in labels]
     # a class without picks reads members * r < periods * (1 + 2 * r) words
     width = members - 1 + periods * (1 + 2 * max(reads))
-    words = np.stack([np.random.Philox(key=seed).random_raw(width) for seed in seeds])
+    words = np.stack([rng.bit_generator.random_raw(width) for rng in _streams(seeds)])
     cuts = np.sort(_uniforms(words[:, : members - 1]), axis=-1)
     weights = np.diff(cuts, prepend=0.0, append=1.0, axis=-1)
     body = words[:, members - 1 :]

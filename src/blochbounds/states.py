@@ -187,10 +187,15 @@ def _check_densities(mats):
     bad = np.abs(traces - 1.0) > DEFAULT_ATOL
     if bad.any():
         raise ValueError(f"trace {traces[bad.argmax()]!r} is not 1 within {DEFAULT_ATOL}")
-    herm = 0.5 * (mats + adjoint)
+    # H + atol*I, built in the adjoint's buffer: the gate holds the matrices, it and the factor
+    shifted = np.add(mats, adjoint, out=adjoint)
+    shifted *= 0.5
+    diagonal = np.arange(dim)
+    shifted[:, diagonal, diagonal] += DEFAULT_ATOL
     try:
-        np.linalg.cholesky(herm + DEFAULT_ATOL * np.eye(dim))
-    except np.linalg.LinAlgError:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:  # rare: H again, unshifted
+        herm = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
         smallest = np.linalg.eigvalsh(herm)[:, 0]
         bad = smallest < -DEFAULT_ATOL
         if bad.any():

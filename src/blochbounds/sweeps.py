@@ -62,6 +62,7 @@ from .sampling import (
     _check_seed,
     _ginibre_densities,
     _haar_amplitudes,
+    _sample_seeds,
     _separable_draws,
     sample_seed,
 )
@@ -104,20 +105,22 @@ ROUND_TRIP_TOL = 1e-10
 #: per-sample peak of the larger stage its checks build allows (see
 #: ``_chunk_size``), and at least one: with every check, 10 pure samples at
 #: d=3, n=4 and 114 at d=2, n=4 (peaking at 0.94 and 0.95 of the budget),
-#: 1 at d=4, n=4. A sample whose stage alone is larger than the budget
-#: makes a one-sample chunk that peaks above it: a mixed one at d=4, n=4
-#: (1.33 times), and every one from d=5 on.
+#: 1 at d=4, n=4 (0.94, pure or mixed). A sample whose stage alone is larger
+#: than the budget makes a one-sample chunk that peaks above it: every one
+#: from d=5 on.
 CHUNK_BYTES = 30 << 17
 
 #: Dense arrays (``states._dense_bytes``) per sample at the peak of the
 #: stages a chunk builds from its samples' states. Pure: 3.5, in the round
 #: trip (the states, their compact coefficients and the pass's two work
-#: arrays). Mixed: 5 are live at the positivity gate of the validation (the
-#: matrices, their adjoint, the Hermitian part, its shifted copy and the
-#: Cholesky factor); 6 are counted, which keeps mixed chunks near their
-#: sizes under the dense-byte budget before (614 / 55 / 156 / 6 samples
-#: against 640 / 56 / 160 / 6 at d, n = 2, 3 / 3, 3 / 2, 4 / 3, 4): larger
-#: mixed chunks were measured no faster.
+#: arrays). Mixed: the validation's positivity gate holds at most 3.5 (the
+#: matrices, their adjoint and its Hermitian deviation; then the shifted
+#: Hermitian part in the adjoint's buffer and the Cholesky factor), so a
+#: mixed chunk peaks at 3.5 too, at 0.53-0.60 of the budget from n=2 on;
+#: 6 are counted, which keeps mixed chunks near their sizes under the
+#: dense-byte budget before (614 / 55 / 156 / 6 samples against 640 / 56 /
+#: 160 / 6 at d, n = 2, 3 / 3, 3 / 2, 4 / 3, 4): larger mixed chunks were
+#: measured no faster.
 _DENSE_ARRAYS = {PURE_HAAR: 3.5, MIXED_GINIBRE: 6}
 
 
@@ -593,7 +596,8 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
     size = _chunk_size(spec, selected)
     for start in range(0, spec.count, size):
         indices = range(start, min(start + size, spec.count))
-        ctx = _Chunk(spec, [sample_seed(spec.base_seed, i) for i in indices], labels, clock)
+        seeds = _sample_seeds(spec.base_seed, indices.start, indices.stop).tolist()
+        ctx = _Chunk(spec, seeds, labels, clock)
         for check in ordered:
             values = clock.run(check.name, check.evaluate, ctx)
             i = int(np.argmax(values))  # the first NaN, else the first maximum

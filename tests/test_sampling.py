@@ -68,6 +68,38 @@ def test_seed_hashes_refuse_what_they_would_alias(hash_, args):
         hash_(*args)
 
 
+@pytest.mark.parametrize("base", [0, 99, 2**64 - 1])
+@pytest.mark.parametrize("start, stop", [(0, 40), (2**63 - 3, 2**63 + 3), (2**64 - 5, 2**64)])
+def test_chunk_seeds_hash_like_sample_seed(base, start, stop):
+    seeds = sampling._sample_seeds(base, start, stop)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [sample_seed(base, i) for i in range(start, stop)]
+
+
+def test_a_re_keyed_stream_reads_a_fresh_philox_stream():
+    # each seed after a seed whose reads left a pending 32-bit half (integers, then random)
+    seeds = [0, 1, 2**63, 2**64 - 1]
+    for rng, seed in zip(sampling._streams(seeds + seeds[::-1]), seeds + seeds[::-1]):
+        fresh = np.random.Generator(np.random.Philox(key=seed))
+        assert rng.integers(3) == fresh.integers(3)
+        assert np.array_equal(rng.random(9), fresh.random(9))
+        assert np.array_equal(rng.bit_generator.random_raw(5), fresh.bit_generator.random_raw(5))
+
+
+def test_a_sweep_builds_one_philox_per_draw_call(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    sweeps.run_sweep(SampleSpec(3, 4, PURE_HAAR, 25, 3))
+    # three chunks of at most 10 samples, each drawing its separable mixtures and its states once
+    assert len(built) == 2 * 3
+
+
 def test_seed_hashes_accept_the_64_bit_range():
     assert sample_seed(2**64 - 1, 2**64 - 1) == sample_seed(2**64 - 1, 2**64 - 1)
     assert splitmix64(2**64 - 1) == splitmix64(np.uint64(2**64 - 1))

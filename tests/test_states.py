@@ -393,6 +393,31 @@ def test_psd_gate_computes_eigenvalues_only_when_cholesky_fails(monkeypatch):
     assert calls == [(1, 2, 2)]
 
 
+def test_psd_gate_factors_the_shifted_hermitian_part(monkeypatch):
+    # the gate builds H + atol*I in place; the matrix it factors is the out-of-place one
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(mat):
+        factored.append(mat.copy())
+        return cholesky(mat)
+
+    monkeypatch.setattr(states.np.linalg, "cholesky", recording)
+    atol = states.DEFAULT_ATOL
+    u = haar_random_unitary(27, 3)
+    stacks = [
+        np.stack([random_mixed(3, 3, 27, seed).matrix for seed in range(4)]),
+        np.stack([random_mixed(2, 4, rank, seed).matrix for seed, rank in enumerate((1, 2, 16))]),
+        np.stack([_with_smallest_eigenvalue(u, -atol * f, s) for s, f in enumerate((0.999, 0, 0.5))]),
+    ]
+    for mats in stacks:
+        before = mats.copy()
+        states._check_densities(mats)
+        assert np.array_equal(mats, before)
+        herm = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+        assert np.array_equal(factored.pop(), herm + atol * np.eye(mats.shape[-1]))
+
+
 _BAD_MEMBERS = {
     "non-finite": np.diag([np.nan, 0.0, 0.0, 1.0]),
     "non-Hermitian": np.array([[0.5, 0.3, 0, 0], [0.1, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),

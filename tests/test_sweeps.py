@@ -543,15 +543,19 @@ def test_reports_do_not_depend_on_chunking(capsys, monkeypatch, d, n, kind, coun
 
 def _peak_specs():
     # d = 2..4 at n = 4, pure, with every check, the separable checks only and the others
-    # only; and the mixed specs of the acceptance grid with the checks that build their stack
+    # only; at n = 1..3 both kinds with every check; and the mixed kind at n = 4 with the
+    # checks that build its stack
     for d in (2, 3, 4):
         spec = SampleSpec(d, 4, PURE_HAAR, 1, 5)
         names = available_checks(spec)
         yield spec, names
         yield spec, [name for name in names if name.startswith("separable-")]
         yield spec, [name for name in names if not name.startswith("separable-")]
-    for d, n in ((2, 3), (3, 3), (2, 4), (3, 4)):
-        spec = SampleSpec(d, n, MIXED_GINIBRE, 1, 5)
+        for kind in (PURE_HAAR, MIXED_GINIBRE):
+            for n in (1, 2, 3):
+                spec = SampleSpec(d, n, kind, 1, 5)
+                yield spec, available_checks(spec)
+        spec = SampleSpec(d, 4, MIXED_GINIBRE, 1, 5)
         yield spec, [name for name in available_checks(spec) if not name.startswith("separable-")]
 
 
