@@ -83,7 +83,8 @@ class BlochDecomposition:
 
     The array holds ``Tr(rho B_i1 x ... x B_in)`` over the extended basis, so
     entry ``[0, ..., 0]`` is the trace and ``tensor(S)`` is a slice of it.
-    Construction checks (d, n), the shape and that every entry is finite.
+    Construction copies the array it is given and checks (d, n), the shape
+    and that every entry is finite.
     """
 
     local_dim: int
@@ -91,8 +92,18 @@ class BlochDecomposition:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        self._keep(np.asarray(self.coefficients).astype(float, casting="safe"))
+
+    @classmethod
+    def _of_pass(cls, d, n, coeffs):
+        """A decomposition that keeps ``coeffs``, a float array no caller holds, uncopied."""
+        decomp = cls.__new__(cls)
+        decomp.local_dim, decomp.num_parties = d, n
+        decomp._keep(coeffs)
+        return decomp
+
+    def _keep(self, coeffs):
         d, n = _check_dims(self.local_dim, self.num_parties)
-        coeffs = np.asarray(self.coefficients).astype(float, casting="safe")
         if coeffs.shape != (d * d,) * n:
             raise ValueError(f"expected coefficients of shape {(d * d,) * n}, got {coeffs.shape}")
         if not np.isfinite(coeffs).all():
@@ -216,7 +227,7 @@ def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
 def full_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     """The coefficient array of ``rho``, holding all 2^n - 1 tensors, from one pass."""
     d, n = rho.local_dim, rho.num_parties
-    return BlochDecomposition(d, n, _coefficients(rho.matrix[None], d, n)[0])
+    return BlochDecomposition._of_pass(d, n, _coefficients(rho.matrix[None], d, n)[0])
 
 
 def tensor_norm_sq(tensor: BlochTensor) -> float:

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -59,7 +60,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The process's one parser, built on the first call and reused by every later one.
+
+    Reuse carries nothing from one call to the next: ``parse_args`` fills a
+    fresh namespace each time, the handlers read ``run_sweep`` and the rest
+    as module globals when they run, and help text is formatted when it is
+    printed, so ``COLUMNS`` still applies.
+    """
     parser = _Parser(prog="blochbounds", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)

@@ -31,6 +31,7 @@ from blochbounds import (
     tensor_norm_sq,
     Ensemble,
 )
+from blochbounds import bloch as bloch_module
 from blochbounds.bloch import _coefficients, _rebuild
 from blochbounds.sampling import _ginibre_densities, _haar_amplitudes
 from conftest import (
@@ -273,6 +274,33 @@ def test_incomplete_decomposition_rejected():
     # the coefficients are real by definition; a complex array is refused, not truncated
     with pytest.raises(TypeError):
         BlochDecomposition(d, n, np.full((4, 4), 0.1j))
+
+
+def test_a_callers_array_stays_theirs_and_writable():
+    coeffs = np.array(full_decomposition(random_mixed(3, 2, 4, seed=5)).coefficients)
+    decomp = BlochDecomposition(3, 2, coeffs)
+    assert coeffs.flags.writeable and not decomp.coefficients.flags.writeable
+    assert not np.shares_memory(coeffs, decomp.coefficients)
+    kept = decomp.coefficients.copy()
+    coeffs[1, 2] += 1.0
+    assert np.array_equal(decomp.coefficients, kept)
+
+
+def test_full_decomposition_keeps_the_pass_array_uncopied(monkeypatch):
+    passes = []
+
+    def recording(*args):
+        passes.append(_coefficients(*args))
+        return passes[-1]
+
+    rho = random_mixed(2, 3, 2, seed=9)
+    expected = BlochDecomposition(2, 3, full_decomposition(rho).coefficients)
+    monkeypatch.setattr(bloch_module, "_coefficients", recording)
+    decomp = full_decomposition(rho)
+    assert np.shares_memory(decomp.coefficients, passes[0])
+    assert not decomp.coefficients.flags.writeable
+    assert decomp.coefficients.dtype == float and decomp.coefficients.shape == (4, 4, 4)
+    assert np.array_equal(decomp.coefficients, expected.coefficients)
 
 
 def test_wrong_length_coefficients_rejected():

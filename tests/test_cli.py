@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -997,3 +998,73 @@ def test_dumps_matches_the_stdlib_indent_encoder_on_edge_values():
     assert _dumps(value) == json.dumps(value, indent=2)
     for leaf in (1, 0.5, "s", None, True, [], {}, [7], (1.5,)):
         assert _dumps(leaf) == json.dumps(leaf, indent=2)
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture
+def fresh_parser():
+    """The process's parser dropped before and after the test, so the test sees every build."""
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    calls = [
+        ["bounds", "--d", "2"],
+        ["frobnicate"],
+        ["basis", "--d", "2", "--format", "json"],
+        ["classify", "--builtin", "isotropic_ghz4", "--d", "2"],
+        ["decompose", "--builtin", "ghz", "--d", "2", "--parties", "2"],
+    ]
+    codes = [run_cli(capsys, *argv)[0] for argv in calls]
+    assert codes == [0, 2, 0, 2, 0]
+    assert len(built) == 8  # the parser and its seven subcommands, once
+
+
+def test_a_reused_parser_gives_each_call_what_a_fresh_one_gives(monkeypatch, tmp_path, fresh_parser):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    sequence = importlib.import_module("cli_sequence")
+    # each of these flags is set by one call and left out by a later call of that subcommand
+    for flag in ("--x", "--tol", "--timings", "--subset", "--dump-state", "--rank", "--checks"):
+        first = next(i for i, call in enumerate(sequence.CALLS) if flag in call.split())
+        sub = sequence.CALLS[first].split()[0]
+        later = [call.split() for call in sequence.CALLS[first + 1 :]]
+        assert any(words[0] == sub and flag not in words for words in later), flag
+    monkeypatch.chdir(tmp_path)
+
+    def on_a_fresh_parser(argv):
+        cli._build_parser.cache_clear()
+        return main(argv)
+
+    fresh = list(sequence.outcomes(on_a_fresh_parser))
+    fresh_dump = (tmp_path / "dump.json").read_bytes()
+    cli._build_parser.cache_clear()
+    reused = list(sequence.outcomes(main))
+    assert reused == fresh
+    assert (tmp_path / "dump.json").read_bytes() == fresh_dump
+    assert {code for _, code, _, _ in fresh} == {0, 1, 2}
+
+
+def test_help_on_a_reused_parser_follows_columns(capsys, monkeypatch, fresh_parser):
+    def help_text(columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        return capsys.readouterr().out
+
+    reused = {columns: help_text(columns) for columns in ("200", "50", "200")}
+    for columns, text in reused.items():
+        cli._build_parser.cache_clear()
+        assert text == help_text(columns)
+    assert reused["50"] != reused["200"]
