@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import json
@@ -48,11 +47,6 @@ from .sweeps import (
 )
 
 TOL_ENV_VAR = "BLOCHBOUNDS_TOL"
-
-# glibc's mallopt parameters (malloc.h) and the variables through which a user sets them
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MALLOC_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -386,39 +380,8 @@ def _render_text(obj, indent=0):
     return lines
 
 
-def _keep_freed_arrays_mapped():
-    """Keep the arrays a sweep's chunk frees in the heap, for the next chunk to reuse.
-
-    glibc serves a large block from a fresh mapping, or trims the heap top
-    once enough is free, and its dynamic thresholds move as blocks come and
-    go. So a chunk's arrays (up to ``sweeps.CHUNK_BYTES``, 3.75 MiB) went
-    back to the system and the next chunk faulted the same pages in again.
-    This fixes the mmap threshold at 32 MiB, the largest glibc takes on
-    64-bit, and the trim threshold at twice that, as glibc's dynamic rule
-    pairs them: both are well above a chunk's working set, at most
-    ``CHUNK_BYTES`` up to d=4 (a one-sample d=4, n=4 chunk, pure or mixed,
-    peaks at 3.5 MiB). It changes no value
-    the program computes. It does nothing where the C library has no
-    ``mallopt`` or refuses the value (a non-glibc or 32-bit libc), and
-    nothing when the environment already tunes glibc's allocator.
-    """
-    if any(var in os.environ for var in _MALLOC_ENV_VARS):
-        return
-    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # no C library to load, or no mallopt in it
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
     try:
-        _keep_freed_arrays_mapped()
         args = _build_parser().parse_args(argv)
         report, code = args.handler(args)
         text = _dumps(report) if args.format == "json" else "\n".join(_render_text(report))

@@ -103,25 +103,31 @@ ROUND_TRIP_TOL = 1e-10
 #: Bytes a sweep chunk may peak at (``tracemalloc``), so the memory a sweep
 #: needs does not grow with ``count``. A chunk holds as many samples as the
 #: per-sample peak of the larger stage its checks build allows (see
-#: ``_chunk_size``), and at least one: with every check, 10 pure samples at
-#: d=3, n=4 and 114 at d=2, n=4 (peaking at 0.94 and 0.95 of the budget),
-#: 1 at d=4, n=4 (0.94, pure or mixed). A sample whose stage alone is larger
-#: than the budget makes a one-sample chunk that peaks above it: every one
-#: from d=5 on.
+#: ``_chunk_size``), and at least one: with every check, pure or mixed, 10
+#: samples at d=3, n=4 and 114 at d=2, n=4 (pure ones peak at 0.94 and 0.95
+#: of the budget), 1 at d=4, n=4 (0.94). A sample whose stage alone is
+#: larger than the budget makes a one-sample chunk that peaks above it:
+#: every one from d=5 on. The budget is well under the thresholds the block
+#: below sets, so a chunk's freed arrays stay in the heap for the next one.
 CHUNK_BYTES = 30 << 17
 
+# Freeing this untouched 16 MiB block raises glibc's mmap threshold to 16 MiB
+# and its trim threshold to 32 MiB, by the dynamic rule of mallopt(3), for
+# library and CLI sweeps alike. It runs at import, so the CLI's d=4 state-file
+# buffers stay in the heap too and no call's tracemalloc peak counts the block.
+# glibc leaves its thresholds alone once MALLOC_*, GLIBC_TUNABLES or mallopt has
+# tuned them; other C libraries just free the block.
+np.empty(16 << 20, np.uint8)
+
 #: Dense arrays (``states._dense_bytes``) per sample at the peak of the
-#: stages a chunk builds from its samples' states. Pure: 3.5, in the round
-#: trip (the states, their compact coefficients and the pass's two work
-#: arrays). Mixed: the validation's positivity gate holds at most 3.5 (the
+#: stages a chunk builds from its samples' states, pure or mixed: 3.5. Pure,
+#: in the round trip (the states, their compact coefficients and the pass's
+#: two work arrays); mixed, in the validation's positivity gate (the
 #: matrices, their adjoint and its Hermitian deviation; then the shifted
-#: Hermitian part in the adjoint's buffer and the Cholesky factor), so a
-#: mixed chunk peaks at 3.5 too, at 0.53-0.60 of the budget from n=2 on;
-#: 6 are counted, which keeps mixed chunks near their sizes under the
-#: dense-byte budget before (614 / 55 / 156 / 6 samples against 640 / 56 /
-#: 160 / 6 at d, n = 2, 3 / 3, 3 / 2, 4 / 3, 4): larger mixed chunks were
-#: measured no faster.
-_DENSE_ARRAYS = {PURE_HAAR: 3.5, MIXED_GINIBRE: 6}
+#: Hermitian part in the adjoint's buffer and the Cholesky factor). Measured
+#: as the per-sample ``tracemalloc`` slope of full chunks at d=2..4, n=1..4,
+#: the largest is 3.498 for either kind (d=4, n=3).
+_DENSE_ARRAYS = 3.5
 
 
 @dataclass(frozen=True)
@@ -549,7 +555,7 @@ def _chunk_size(spec, checks):
     if any(check.separable for check in checks):
         stages.append(_separable_bytes(spec.local_dim))
     if not all(check.separable for check in checks):
-        stages.append(_DENSE_ARRAYS[spec.kind] * _dense_bytes(spec.local_dim, spec.num_parties))
+        stages.append(_DENSE_ARRAYS * _dense_bytes(spec.local_dim, spec.num_parties))
     # four floats per subset: the norms, their sums and maxima, and each check's values
     values = 32 * 2**spec.num_parties
     return max(1, int(CHUNK_BYTES // (max(stages) + values)))

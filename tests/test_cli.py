@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -253,86 +252,71 @@ def test_verify_timings_flag_adds_only_the_timings(capsys):
     assert code == 0 and "\ntimings:\n  rho: " in text
 
 
-# the environment through which a user tunes glibc's allocator, which the CLI leaves alone
-MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "GLIBC_TUNABLES")
-SMALL_VERIFY = ("verify", "--d", "2", "--parties", "3", "--samples", "4", "--seed", "1")
-
-
-def fake_mallopt(monkeypatch, result=1, missing=False):
-    """Stand in a C library whose ``mallopt`` returns ``result`` (or which has none); return its calls."""
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return result
-
-    libc = types.SimpleNamespace() if missing else types.SimpleNamespace(mallopt=mallopt)
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-    return calls
-
-
-@pytest.fixture
-def untuned_env(monkeypatch):
-    for var in MALLOC_ENV:
-        monkeypatch.delenv(var, raising=False)
-
-
-@pytest.mark.skipif(
+# importing the package frees one 16 MiB block, which raises glibc's dynamic mmap and trim
+# thresholds on 64-bit glibc, unless the process started with its allocator tuned
+glibc_thresholds = pytest.mark.skipif(
     not sys.platform.startswith("linux")
     or platform.libc_ver()[0] != "glibc"
     or sys.maxsize < 2**32,
-    reason="the thresholds are set on 64-bit glibc only",
+    reason="glibc's dynamic thresholds are raised on 64-bit glibc only",
 )
-def test_verify_keeps_freed_chunk_arrays_mapped(capsys, untuned_env):
+TUNED_ALLOCATOR = any(var.startswith("MALLOC_") for var in os.environ) or (
+    "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+)
+SECOND_SWEEP_FAULTS = """
+import resource
+from blochbounds import SampleSpec, run_sweep
+spec = SampleSpec(3, 4, count=100, base_seed=1)
+run_sweep(spec)  # grows the heap to the working set
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_sweep(spec)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def second_sweep_faults(**tuning):
+    """Minor faults of a fresh interpreter's second library sweep, its allocator tuned by ``tuning`` alone.
+
+    The thresholds are process-wide and this process has imported the package, so the
+    sweep runs in its own interpreter.
+    """
+    env = {
+        var: value
+        for var, value in os.environ.items()
+        if not var.startswith("MALLOC_") and var != "GLIBC_TUNABLES"
+    }
+    env.update(tuning, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", SECOND_SWEEP_FAULTS],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return int(done.stdout)
+
+
+@glibc_thresholds
+@pytest.mark.skipif(TUNED_ALLOCATOR, reason="the environment tunes glibc's allocator")
+def test_verify_keeps_freed_chunk_arrays_mapped(capsys):
     resource = pytest.importorskip("resource")
     argv = ["verify", "--d", "3", "--parties", "4", "--samples", "100", "--seed", "1"]
-    assert main(argv) == 0  # sets the thresholds and grows the heap to the working set
+    assert main(argv) == 0  # grows the heap to the working set
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     code = main(argv)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     capsys.readouterr()
-    # under glibc's dynamic thresholds each such call takes more than 13,000
+    # under glibc's default thresholds each such call takes more than 13,000
     assert code == 0 and faults < 1000
 
 
-def test_main_sets_both_malloc_thresholds(capsys, monkeypatch, untuned_env):
-    calls = fake_mallopt(monkeypatch)
-    assert run_cli(capsys, *SMALL_VERIFY)[0] == 0
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+@glibc_thresholds
+def test_a_library_sweep_keeps_freed_chunk_arrays_mapped():
+    # about 15,000 under glibc's default thresholds
+    assert second_sweep_faults() < 1000
 
 
-@pytest.mark.parametrize(
-    "var, value",
-    [
-        ("MALLOC_MMAP_THRESHOLD_", "131072"),
-        ("MALLOC_TRIM_THRESHOLD_", "131072"),
-        ("MALLOC_TOP_PAD_", "0"),
-        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
-        ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.arena_max=1"),
-    ],
-)
-def test_a_tuned_allocator_environment_is_left_alone(capsys, monkeypatch, untuned_env, var, value):
-    monkeypatch.setenv(var, value)
-    calls = fake_mallopt(monkeypatch)
-    assert run_cli(capsys, *SMALL_VERIFY)[0] == 0
-    assert calls == []
-
-
-def test_other_glibc_tunables_do_not_stop_the_setting(capsys, monkeypatch, untuned_env):
-    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.pthread.rseq=0")
-    calls = fake_mallopt(monkeypatch)
-    assert run_cli(capsys, *SMALL_VERIFY)[0] == 0
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("result, missing", [(0, False), (1, True)], ids=["refused", "missing"])
-def test_a_libc_without_the_setting_changes_no_output(capsys, monkeypatch, untuned_env, result, missing):
-    expected = run_cli(capsys, *SMALL_VERIFY, "--format", "json")
-    calls = fake_mallopt(monkeypatch, result, missing)
-    assert run_cli(capsys, *SMALL_VERIFY, "--format", "json") == expected
-    assert expected[0] == 0
-    # a refused mmap threshold is not followed by a trim threshold
-    assert calls == ([] if missing else [(-3, 32 << 20)])
+@glibc_thresholds
+def test_a_tuned_allocator_keeps_its_thresholds():
+    # glibc keeps a tuned threshold fixed, so the freed chunk arrays go back to the system
+    assert second_sweep_faults(MALLOC_TRIM_THRESHOLD_="0") > 5000
 
 
 def test_verify_refuses_oversized_dimensions_without_allocating(capsys):

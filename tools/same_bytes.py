@@ -17,7 +17,10 @@ command differs, else 0.
 A command line is a ``blochbounds`` argument list, or ``python`` and the
 interpreter's arguments. Leading ``NAME=value`` words set environment
 variables, ``{tools}`` stands for this directory, and `` && `` chains
-commands that share one working directory. ``#`` starts a comment line.
+commands that share one working directory. A command ending in
+`` | head -c 1`` has one byte of its stdout read before the pipe is closed,
+as a reader that stops early does; its exit code and stderr are compared
+in full. ``#`` starts a comment line.
 """
 
 import argparse
@@ -35,6 +38,7 @@ import numpy as np
 TOOLS = Path(__file__).resolve().parent
 COMMANDS = TOOLS / "same_bytes.txt"
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+HEAD = " | head -c 1"
 _TIMING_LINE = re.compile(r"^(  \S+:) .*$", re.MULTILINE)
 
 
@@ -65,6 +69,20 @@ def argv_of(step):
     return [sys.executable, "-m", "blochbounds.cli", *words], env
 
 
+def run_step(argv, cwd, env, head):
+    """Exit code, stdout and stderr of one command; ``head`` closes its stdout after one byte."""
+    if not head:
+        done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=900)
+        return done.returncode, done.stdout, done.stderr
+    with subprocess.Popen(
+        argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        first = proc.stdout.read(1)
+        proc.stdout.close()
+        stderr = proc.communicate(timeout=900)[1]
+    return proc.returncode, first.decode(), stderr.decode()
+
+
 def without_timing_values(text):
     """``text`` with each stage time's value dropped, its key and order kept."""
     try:
@@ -84,14 +102,12 @@ def run(tree, line):
     outcome = []
     with tempfile.TemporaryDirectory() as cwd:
         for step in line.split(" && "):
-            argv, env = argv_of(step)
-            done = subprocess.run(
-                argv, cwd=cwd, env={**base, **env}, capture_output=True, text=True, timeout=900
-            )
-            stdout = done.stdout
+            head = step.endswith(HEAD)
+            argv, env = argv_of(step.removesuffix(HEAD))
+            code, stdout, stderr = run_step(argv, cwd, {**base, **env}, head)
             if "--timings" in argv:
                 stdout = without_timing_values(stdout)
-            outcome.append((step, done.returncode, stdout, done.stderr))
+            outcome.append((step, code, stdout, stderr))
         files = {
             str(path.relative_to(cwd)): path.read_bytes()
             for path in sorted(Path(cwd).rglob("*"))
