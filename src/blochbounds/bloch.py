@@ -26,7 +26,6 @@ from .basis import generate_basis
 from .states import MAX_PARTIES, DensityMatrix, _check_dims, _check_local_dim, _validated_subset
 
 __all__ = [
-    "IMAG_RESIDUE_TOL",
     "BlochTensor",
     "BlochDecomposition",
     "all_subsets",
@@ -39,8 +38,6 @@ __all__ = [
     "pure_pair_sum_residual",
     "pure_triple_sum_residual",
 ]
-
-IMAG_RESIDUE_TOL = 1e-10
 
 
 @dataclass
@@ -174,6 +171,11 @@ def _coefficients(mats, d, n) -> np.ndarray:
     per party then contracts the leading digit pair with the local basis.
     Index 0 on a party stands for the identity there, so ``C[b, 0, ..., 0]``
     is the trace of matrix b and every ``T^(S)`` is a slice.
+
+    The real parts are kept: they are exactly the coefficients of the
+    Hermitian part ``(M + M^dagger)/2``, since ``Tr(K B)`` is imaginary for an
+    anti-Hermitian ``K`` and a Hermitian ``B``. Hermiticity itself is judged
+    once, where a matrix becomes a state (``states._check_densities``).
     """
     count = mats.size // d ** (2 * n)
     # axes of the input digits: the stack, then n row digits, then n column digits
@@ -183,12 +185,6 @@ def _coefficients(mats, d, n) -> np.ndarray:
     forward, _ = _pass_matrices(d)
     coeffs = _party_steps(work, forward, n).reshape((count,) + (d * d,) * n)
     del work  # for odd n the steps end in the other array: free this one now
-    # the trace entries are validated by the states themselves; skip them here
-    residue = float(np.abs(coeffs.imag).reshape(count, -1)[:, 1:].max())
-    if not residue <= IMAG_RESIDUE_TOL:
-        raise ValueError(
-            f"coefficients carry imaginary residue {residue:.3e}; input is not Hermitian enough"
-        )
     # a compact copy: a ``.real`` view would keep the whole complex array alive
     return coeffs.real.copy()
 
@@ -215,12 +211,7 @@ def _subset_norms(coeffs, n) -> dict:
 
 
 def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
-    """Correlation tensor of ``rho`` on the given parties.
-
-    Raises ValueError if the subset is invalid or if any coefficient of the
-    state, on this subset or another, carries an imaginary residue above
-    ``IMAG_RESIDUE_TOL`` (a non-Hermitian input).
-    """
+    """Correlation tensor of ``rho`` on the given parties; ValueError if the subset is invalid."""
     return full_decomposition(rho).tensor(subset)
 
 

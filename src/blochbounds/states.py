@@ -128,7 +128,7 @@ def _check_amplitudes(amps):
     bad = np.abs(norms - 1.0) > DEFAULT_ATOL
     if bad.any():
         raise ValueError(
-            f"state vector norm {norms[bad.argmax()]!r} is not 1 within {DEFAULT_ATOL}"
+            f"state vector norm {float(norms[bad.argmax()])!r} is not 1 within {DEFAULT_ATOL}"
         )
 
 
@@ -186,7 +186,7 @@ def _check_densities(mats):
     traces = np.trace(mats, axis1=-2, axis2=-1)
     bad = np.abs(traces - 1.0) > DEFAULT_ATOL
     if bad.any():
-        raise ValueError(f"trace {traces[bad.argmax()]!r} is not 1 within {DEFAULT_ATOL}")
+        raise ValueError(f"trace {complex(traces[bad.argmax()])!r} is not 1 within {DEFAULT_ATOL}")
     # H + atol*I, built in the adjoint's buffer: the gate holds the matrices, it and the factor
     shifted = np.add(mats, adjoint, out=adjoint)
     shifted *= 0.5

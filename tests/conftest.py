@@ -128,7 +128,7 @@ def extended_basis(d):
 
 
 def tensordot_coefficients(mats, d, n):
-    """``(B,) + (d**2,) * n`` coefficients of a stack: one tensordot per party, no residue guard."""
+    """``(B,) + (d**2,) * n`` coefficients of a stack: one tensordot per party."""
     basis = extended_basis(d)
     coeffs = mats.reshape((-1,) + (d,) * (2 * n))
     for rows in range(n, 0, -1):

@@ -30,6 +30,8 @@ from blochbounds import (
     reconstruct,
     tensor_norm_sq,
     Ensemble,
+    classify,
+    tradeoff_check,
 )
 from blochbounds import bloch as bloch_module
 from blochbounds.bloch import _coefficients, _rebuild
@@ -205,24 +207,23 @@ def test_invalid_subsets_rejected():
         BlochTensor((True, 2.5), 2, np.zeros(9))
 
 
-def test_imaginary_residue_guard():
-    # Slip a tiny anti-Hermitian perturbation past the state validation
-    # (Hermiticity deviation 8e-10 < 1e-9) and check the tensor extraction
-    # still refuses it (residue 8e-10 > 1e-10).
-    mat = np.diag([0.5, 0.5]).astype(complex)
-    mat[0, 1] += 4e-10
-    mat[1, 0] -= 4e-10
-    rho = DensityMatrix(mat, 2, 1)
-    with pytest.raises(ValueError, match="residue"):
-        bloch_tensor(rho, (1,))
-
-
-def test_imaginary_residue_guard_refuses_nan():
-    # a NaN entry makes every coefficient it feeds NaN, and a NaN residue fails the guard
-    mat = np.eye(4, dtype=complex) / 4
-    mat[1, 2] = np.nan
-    with pytest.raises(ValueError, match="residue nan"):
-        _coefficients(mat[None], 2, 2)
+def test_every_state_the_boundary_accepts_decomposes_as_its_hermitian_part():
+    # Hermiticity deviation 8e-10, within the 1e-9 of DensityMatrix: the map
+    # decomposes the Hermitian part (M + M^dagger)/2 of what was accepted
+    mat = isotropic_ghz4(0.5, 2).matrix.copy()
+    mat[0, 15] += 4e-10j
+    mat[15, 0] += 4e-10j
+    rho = DensityMatrix(mat, 2, 4)
+    herm = DensityMatrix(0.5 * (mat + mat.conj().T), 2, 4)
+    coeffs = full_decomposition(rho).coefficients
+    assert np.abs(coeffs - full_decomposition(herm).coefficients).max() <= 1e-15
+    assert np.abs(reconstruct(full_decomposition(rho)).matrix - herm.matrix).max() <= 1e-15
+    report, expected = classify(rho), classify(herm)
+    assert report.excluded == expected.excluded
+    assert report.norm_sq_1234 == pytest.approx(expected.norm_sq_1234, abs=1e-15)
+    result = tradeoff_check(rho)
+    assert result.satisfied
+    assert result.sum_sq == pytest.approx(tradeoff_check(herm).sum_sq, abs=1e-15)
 
 
 def test_marginal_consistency():

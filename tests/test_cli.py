@@ -593,6 +593,26 @@ def test_nan_amplitude_state_file_exits_two(capsys, tmp_path):
     assert "non-finite" in err and "Eigenvalues" not in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[1.5, 0], [0, 0]]},
+            "state vector norm 1.5 is not 1 within 1e-09",
+        ),
+        (
+            {"d": 2, "parties": 1, "kind": "matrix", "matrix": [[[1.5, 0], [0, 0]], [[0, 0]] * 2]},
+            "trace (1.5+0j) is not 1 within 1e-09",
+        ),
+    ],
+    ids=["vector-norm", "trace"],
+)
+def test_state_file_refusals_print_python_scalars(capsys, tmp_path, doc, message):
+    path = _state_file(tmp_path, json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", "--state", path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEX_DOCS))
 def test_malformed_complex_entries_in_state_file_exit_two(capsys, tmp_path, case):
     path = _state_file(tmp_path, json.dumps(MALFORMED_COMPLEX_DOCS[case]))
@@ -613,16 +633,16 @@ def test_fields_of_the_wrong_json_type_in_state_file_exit_two(capsys, tmp_path, 
 
 
 def test_failed_decompose_writes_no_dump(capsys, tmp_path):
-    # valid as a state (Hermiticity deviation 8e-10 < 1e-9), refused by the residue guard
+    # valid as a state (Hermiticity deviation 8e-10 < 1e-9), so it decomposes and is dumped
     matrix = [[[0.5, 0.0], [4e-10, 0.0]], [[-4e-10, 0.0], [0.5, 0.0]]]
     doc = {"d": 2, "parties": 1, "kind": "matrix", "matrix": matrix}
     path = _state_file(tmp_path, json.dumps(doc))
     dump = tmp_path / "dump.json"
     code, out, err = run_cli(capsys, "decompose", "--state", path, "--dump-state", str(dump))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "residue" in err
-    assert not dump.exists()
+    assert code == 0 and err == ""
+    assert json.loads(dump.read_text())["matrix"] == matrix
+    dump.unlink()
+    # valid as a state, refused later: no dump
     argv = ["decompose", "--builtin", "ghz", "--d", "2", "--parties", "2", "--subset", "3"]
     code, out, err = run_cli(capsys, *argv, "--dump-state", str(dump))
     assert code == 2 and out == "" and "not contained" in err

@@ -324,6 +324,10 @@ def test_density_matrix_validation():
             lambda: DensityMatrix(np.diag([1 + 0.9e-9, -0.9e-9]), 2, 1),
             "purity 1.0000000018000001 lies outside [1/2, 1]",
         ),
+        (
+            lambda: DensityMatrix(np.array([[0.5, 2e-9j], [0, 0.5]]), 2, 1),
+            "matrix deviates from Hermitian by 2.000e-09",
+        ),
         (lambda: Ensemble([]), "ensemble needs at least one member"),
         (lambda: Ensemble([(1.0, "psi")]), "ensemble members must be PureState instances"),
         (
@@ -331,7 +335,13 @@ def test_density_matrix_validation():
             "factor on parties (1,) has 3 amplitudes, expected 2",
         ),
     ],
-    ids=["purity-above-one", "empty-ensemble", "non-state-member", "factor-length"],
+    ids=[
+        "purity-above-one",
+        "hermitian-deviation",
+        "empty-ensemble",
+        "non-state-member",
+        "factor-length",
+    ],
 )
 def test_constructors_refuse_with_their_message(make, message):
     with pytest.raises(ValueError) as refused:
