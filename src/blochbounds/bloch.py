@@ -89,18 +89,8 @@ class BlochDecomposition:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        self._keep(np.asarray(self.coefficients).astype(float, casting="safe"))
-
-    @classmethod
-    def _of_pass(cls, d, n, coeffs):
-        """A decomposition that keeps ``coeffs``, a float array no caller holds, uncopied."""
-        decomp = cls.__new__(cls)
-        decomp.local_dim, decomp.num_parties = d, n
-        decomp._keep(coeffs)
-        return decomp
-
-    def _keep(self, coeffs):
         d, n = _check_dims(self.local_dim, self.num_parties)
+        coeffs = np.asarray(self.coefficients).astype(float, casting="safe")
         if coeffs.shape != (d * d,) * n:
             raise ValueError(f"expected coefficients of shape {(d * d,) * n}, got {coeffs.shape}")
         if not np.isfinite(coeffs).all():
@@ -218,7 +208,7 @@ def bloch_tensor(rho: DensityMatrix, subset) -> BlochTensor:
 def full_decomposition(rho: DensityMatrix) -> BlochDecomposition:
     """The coefficient array of ``rho``, holding all 2^n - 1 tensors, from one pass."""
     d, n = rho.local_dim, rho.num_parties
-    return BlochDecomposition._of_pass(d, n, _coefficients(rho.matrix[None], d, n)[0])
+    return BlochDecomposition(d, n, _coefficients(rho.matrix[None], d, n)[0])
 
 
 def tensor_norm_sq(tensor: BlochTensor) -> float:

@@ -35,7 +35,7 @@ from .bounds import (
     tradeoff_check,
 )
 from .serialize import BUILTIN_NAMES, _encode_complex, as_density, state_from_json, state_to_json
-from .states import DensityMatrix, as_pure, from_pure, purity
+from .states import _check_pure, purity
 from .sweeps import (
     BOUND_TOL,
     MIXED_GINIBRE,
@@ -168,18 +168,19 @@ def _resolve_tol(args, default=None):
 
 
 def _load_state(args):
+    """The state of ``--state`` or of the builtin flags, as one validated ``DensityMatrix``."""
     if args.state is not None:
         for flag, value in (("--d", args.d), ("--parties", args.parties), ("--x", args.x)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --builtin only, not to --state")
         with open(args.state, "r", encoding="utf-8") as handle:
             try:
-                return state_from_json(json.load(handle))
+                return as_density(state_from_json(json.load(handle)))
             except RecursionError:
                 raise ValueError(f"state file {args.state} is nested too deeply") from None
     # the flags are the builtin document's keys, so the document rules what each builtin takes
     doc = {"kind": "builtin", "name": args.builtin, "d": args.d, "parties": args.parties}
-    return state_from_json({**doc, "params": {} if args.x is None else {"x": args.x}})
+    return as_density(state_from_json({**doc, "params": {} if args.x is None else {"x": args.x}}))
 
 
 def _parse_subset(raw):
@@ -199,7 +200,7 @@ def _cmd_basis(args):
 
 
 def _cmd_decompose(args):
-    rho = as_density(_load_state(args))
+    rho = _load_state(args)
     decomp = full_decomposition(rho)
     subsets = [_parse_subset(args.subset)] if args.subset is not None else decomp.subsets()
     tensors = list(map(decomp.tensor, subsets))
@@ -242,7 +243,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_classify(args):
-    rho = as_density(_load_state(args))
+    rho = _load_state(args)
     report = classify(rho, _resolve_tol(args, COMPARISON_TOL))
     return {
         "d": report.local_dim,
@@ -255,11 +256,10 @@ def _cmd_classify(args):
 
 
 def _cmd_measure(args):
-    state = _load_state(args)
-    if isinstance(state, DensityMatrix):
-        state = as_pure(state)
-    d, n = state.local_dim, state.num_parties
-    norm_sq = tensor_norm_sq(bloch_tensor(from_pure(state), tuple(range(1, n + 1))))
+    rho = _load_state(args)
+    _check_pure(rho)
+    d, n = rho.local_dim, rho.num_parties
+    norm_sq = tensor_norm_sq(bloch_tensor(rho, tuple(range(1, n + 1))))
     value = _measure_from_norm_sq(d, n, norm_sq)
     routes = et_bound_audit(d).get(n)
     report = {
@@ -277,7 +277,7 @@ def _cmd_measure(args):
 
 
 def _cmd_tradeoff(args):
-    rho = as_density(_load_state(args))
+    rho = _load_state(args)
     result = tradeoff_check(rho, _resolve_tol(args, COMPARISON_TOL))
     return {
         "d": rho.local_dim,

@@ -121,15 +121,22 @@ def _check_dims(local_dim, num_parties):
 
 
 def _check_amplitudes(amps):
-    """Refuse a (B, dim) stack of state vectors unless every row is finite and normalized."""
+    """Refuse a (B, dim) stack of state vectors unless every row is finite and normalized.
+
+    A row is accepted when the purity ``|v|^4`` of its projector ``|v><v|`` is
+    1 within ``DEFAULT_ATOL``, the rule ``as_pure`` holds a matrix to. Since
+    ``|n^4 - 1| >= |n^2 - 1| >= |n - 1|``, the projector's trace and the norm are
+    then 1 within it too, as ``_check_densities`` requires. Whether the norm
+    itself misses 1 only chooses the wording of the refusal.
+    """
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite values (NaN or infinity)")
-    norms = np.linalg.norm(amps, axis=-1)
-    bad = np.abs(norms - 1.0) > DEFAULT_ATOL
+    norms, atol = np.linalg.norm(amps, axis=-1), DEFAULT_ATOL
+    bad = np.abs(norms**4 - 1.0) > atol
     if bad.any():
-        raise ValueError(
-            f"state vector norm {float(norms[bad.argmax()])!r} is not 1 within {DEFAULT_ATOL}"
-        )
+        norm = float(norms[bad.argmax()])
+        rule = "is not 1" if abs(norm - 1.0) > atol else "gives a projector of purity not 1"
+        raise ValueError(f"state vector norm {norm!r} {rule} within {atol}")
 
 
 def _check_weights(weights):
@@ -391,14 +398,19 @@ def purity(rho: DensityMatrix) -> float:
     return float(_purities(rho.matrix[None])[0])
 
 
+def _check_pure(rho: DensityMatrix):
+    """Refuse ``rho`` unless its purity is 1 within ``DEFAULT_ATOL``."""
+    pur = purity(rho)
+    if abs(pur - 1.0) > DEFAULT_ATOL:
+        raise ValueError(f"state is mixed (purity {pur!r}); expected a pure state")
+
+
 def as_pure(rho: DensityMatrix) -> PureState:
     """Extract the state vector of a rank-one density matrix.
 
     Raises ValueError when the purity deviates from 1 by more than ``DEFAULT_ATOL``.
     """
-    pur = purity(rho)
-    if abs(pur - 1.0) > DEFAULT_ATOL:
-        raise ValueError(f"state is mixed (purity {pur!r}); expected a pure state")
+    _check_pure(rho)
     _, vecs = np.linalg.eigh(0.5 * (rho.matrix + rho.matrix.conj().T))
     vec = vecs[:, -1]
     return PureState(vec / np.linalg.norm(vec), rho.local_dim, rho.num_parties)

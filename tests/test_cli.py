@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochbounds import state_to_json, isotropic_ghz4, DensityMatrix, sample_seed
+from blochbounds import state_to_json, ghz, isotropic_ghz4, DensityMatrix, sample_seed
 from blochbounds import cli, sweeps
 from blochbounds.cli import _dumps, _render_text, main
 from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS, UNREAD_PARAM_DOCS
@@ -117,8 +117,24 @@ def test_measure_rejects_mixed_state(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
+    assert err == "error: state is mixed (purity 0.2968749999999999); expected a pure state\n"
+
+
+PURE_BUILTINS = [
+    ["--builtin", "ghz", "--d", str(d), "--parties", str(n)] for d in (2, 3, 4) for n in (2, 3, 4)
+] + [["--builtin", "product_max_entangled", "--d", str(d)] for d in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("argv", PURE_BUILTINS, ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_pure_matrix_document_measures_like_its_builtin(capsys, tmp_path, argv, fmt):
+    # measure reads the matrix it is given, not a vector rebuilt from it
+    dump = tmp_path / "dump.json"
+    assert run_cli(capsys, "decompose", *argv, "--subset", "1", "--dump-state", str(dump))[0] == 0
+    assert json.loads(dump.read_text())["kind"] == "matrix"
+    builtin = run_cli(capsys, "measure", *argv, "--format", fmt)
+    assert builtin[0] == 0 and builtin[1]
+    assert run_cli(capsys, "measure", "--state", str(dump), "--format", fmt) == builtin
 
 
 def test_measure_accepts_rank_one_matrix_input(capsys, tmp_path):
@@ -611,6 +627,27 @@ def test_state_file_refusals_print_python_scalars(capsys, tmp_path, doc, message
     path = _state_file(tmp_path, json.dumps(doc))
     code, out, err = run_cli(capsys, "decompose", "--state", path)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify", "tradeoff", "measure"])
+def test_a_pure_document_is_held_to_its_projector_rule(capsys, tmp_path, command):
+    # a vector whose norm is 1 within 1e-9 is refused when its projector's purity is not 1,
+    # in the vector's words, on either side of 1; a vector whose projector is pure goes
+    # through every command, measure's purity check included
+    doc = state_to_json(ghz(2, 4))
+    amps = np.array(doc["amplitudes"])
+    for scale in (1 + 0.9e-9, 1 - 0.4e-9):
+        doc["amplitudes"] = (amps * scale).tolist()
+        path = _state_file(tmp_path, json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--state", path)
+        assert (code, out) == (2, "")
+        norm = float(np.linalg.norm(ghz(2, 4).amplitudes * scale))
+        assert err == f"error: state vector norm {norm!r} gives a projector of purity not 1 within 1e-09\n"
+    for scale in (1 + 0.2e-9, 1 - 0.2e-9):
+        doc["amplitudes"] = (amps * scale).tolist()
+        path = _state_file(tmp_path, json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--state", path)
+        assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEX_DOCS))

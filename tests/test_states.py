@@ -53,6 +53,24 @@ def test_pure_state_rejects_unnormalized():
         PureState([1, 1], 2, 1)
 
 
+def test_from_pure_accepts_every_vector_pure_state_accepts():
+    # and the projector passes the purity rule that measure and as_pure hold a matrix to
+    for scale in (1 + 0.2e-9, 1 - 0.2e-9):
+        states._check_pure(from_pure(PureState(ghz(2, 4).amplitudes * scale, 2, 4)))
+    rng = np.random.default_rng(25)
+    accepted = 0
+    for _ in range(2000):
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps *= (1 + rng.uniform(-1.2e-9, 1.2e-9)) / np.linalg.norm(amps)
+        try:
+            psi = PureState(amps, 2, 2)
+        except ValueError:
+            continue
+        states._check_pure(from_pure(psi))
+        accepted += 1
+    assert 0 < accepted < 2000
+
+
 def test_pure_state_rejects_wrong_length():
     with pytest.raises(ValueError):
         PureState([1, 0, 0], 2, 1)
@@ -328,6 +346,23 @@ def test_density_matrix_validation():
             lambda: DensityMatrix(np.array([[0.5, 2e-9j], [0, 0.5]]), 2, 1),
             "matrix deviates from Hermitian by 2.000e-09",
         ),
+        # a norm within 1e-9 of 1 whose projector's purity |v|^4 is not 1 within 1e-9
+        (
+            lambda: PureState([1 + 0.9e-9, 0], 2, 1),
+            "state vector norm 1.0000000009 gives a projector of purity not 1 within 1e-09",
+        ),
+        (
+            lambda: PureState([1 - 0.9e-9, 0], 2, 1),
+            "state vector norm 0.9999999991 gives a projector of purity not 1 within 1e-09",
+        ),
+        (
+            lambda: PureState([1 + 0.4e-9, 0], 2, 1),
+            "state vector norm 1.0000000004 gives a projector of purity not 1 within 1e-09",
+        ),
+        (
+            lambda: PureState([1 - 0.4e-9, 0], 2, 1),
+            "state vector norm 0.9999999996 gives a projector of purity not 1 within 1e-09",
+        ),
         (lambda: Ensemble([]), "ensemble needs at least one member"),
         (lambda: Ensemble([(1.0, "psi")]), "ensemble members must be PureState instances"),
         (
@@ -338,6 +373,10 @@ def test_density_matrix_validation():
     ids=[
         "purity-above-one",
         "hermitian-deviation",
+        "vector-norm-above-one-by-0.9e-9",
+        "vector-norm-below-one-by-0.9e-9",
+        "vector-norm-above-one-by-0.4e-9",
+        "vector-norm-below-one-by-0.4e-9",
         "empty-ensemble",
         "non-state-member",
         "factor-length",
