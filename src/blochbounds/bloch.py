@@ -136,21 +136,25 @@ def _pass_matrices(d: int):
 
 
 def _party_steps(work, step, n) -> np.ndarray:
-    """Run ``n`` party steps on a contiguous work array; return the array holding the result.
+    """Run ``n`` party steps on a contiguous work array; return the flat result.
 
-    Each step is one gemm, into a second array of the same size, that
-    consumes the leading ``d**2`` entries of a party and appends their
-    ``step`` image as the last axis; the arrays swap roles every step.
+    ``step`` is ``(d**2, m)``: each step is one gemm that consumes the
+    leading ``d**2`` entries of a party and appends their ``step`` image, m
+    columns, as the last axis. With ``m < d**2`` (columns dropped) each step
+    writes ``m / d**2`` of its input, so the result fills only the front of
+    the array it lands in. Two arrays swap roles every step: ``work`` and
+    one of the first step's output size.
     """
-    k = len(step)
-    other = np.empty_like(work)
+    k, m = step.shape
+    work, other = work.reshape(-1), np.empty(work.size // k * m, work.dtype)
     for _ in range(n):
-        np.matmul(work.reshape(k, -1).T, step, out=other.reshape(-1, k))
-        work, other = other, work
+        out = other[: work.size // k * m]
+        np.matmul(work.reshape(k, -1).T, step, out=out.reshape(-1, m))
+        work, other = out, work
     return work
 
 
-def _coefficients(mats, d, n) -> np.ndarray:
+def _coefficients(mats, d, n, generators=False) -> np.ndarray:
     """All ``Tr(rho B_i1 x ... x B_in)`` over the extended basis for a stack of matrices.
 
     ``mats`` is any stack of ``d^n x d^n`` matrices, such as ``(B, d^n, d^n)``
@@ -160,7 +164,12 @@ def _coefficients(mats, d, n) -> np.ndarray:
     rn, cn, B)`` (row and column digit of each party, stack last); one gemm
     per party then contracts the leading digit pair with the local basis.
     Index 0 on a party stands for the identity there, so ``C[b, 0, ..., 0]``
-    is the trace of matrix b and every ``T^(S)`` is a slice.
+    is the trace of matrix b and every ``T^(S)`` is a slice. With
+    ``generators`` every step drops the identity column, and the result is
+    ``T^(1..n)`` alone, shape ``(B,) + (d**2 - 1,) * n``: that slice of the
+    full result to rounding (the gemms run on other shapes, which some
+    OpenBLAS kernels sum in another way), at ``(d**2 - 1) / d**2`` of each
+    step's writes.
 
     The real parts are kept: they are exactly the coefficients of the
     Hermitian part ``(M + M^dagger)/2``, since ``Tr(K B)`` is imaginary for an
@@ -173,7 +182,9 @@ def _coefficients(mats, d, n) -> np.ndarray:
     work = np.empty((d, d) * n + (count,), dtype=complex)
     work[...] = mats.reshape((count,) + (d,) * (2 * n)).transpose(axes)
     forward, _ = _pass_matrices(d)
-    coeffs = _party_steps(work, forward, n).reshape((count,) + (d * d,) * n)
+    if generators:
+        forward = forward[:, 1:]
+    coeffs = _party_steps(work, forward, n).reshape((count,) + forward.shape[1:] * n)
     del work  # for odd n the steps end in the other array: free this one now
     # a compact copy: a ``.real`` view would keep the whole complex array alive
     return coeffs.real.copy()

@@ -18,6 +18,9 @@ holds state documents whose complex entries the parser must refuse, and
 does not read.
 ``tensordot_coefficients`` and ``tensordot_rebuild`` are the Bloch pass as
 one ``np.tensordot`` per party, the reference the library's gemm pass must
+match bit for bit (``same_bytes``, which tells -0.0 from 0.0).
+``separable_tensors_by_slice`` is the separable stage by the full extended
+pass: the reference its generator-only block passes and its assembly must
 match bit for bit.
 """
 
@@ -49,6 +52,9 @@ from blochbounds import (
     separable_tensor,
     tensor_norm_sq,
 )
+from blochbounds.bloch import _coefficients
+from blochbounds.sampling import SEPARABLE_MEMBERS, _SPLIT_LAYOUTS, _separable_draws
+from blochbounds.states import _projectors
 
 
 def flat_index(digits, d):
@@ -149,6 +155,44 @@ def tensordot_rebuild(coeffs, d, n):
         mat = np.tensordot(mat, basis, axes=([1], [0]))
     order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
     return mat.transpose(order).reshape(-1, d**n, d**n)
+
+
+def same_bytes(got, expected):
+    """Equal shape, dtype and bytes: unlike ``np.array_equal``, -0.0 differs from 0.0, as in a report."""
+    return (
+        got.shape == expected.shape
+        and got.dtype == expected.dtype
+        and got.tobytes() == expected.tobytes()
+    )
+
+
+def separable_tensors_by_slice(d, labels, seeds):
+    """Class -> the ``(B, (d**2 - 1)**4)`` tensors of ``sweeps._separable_tensors``, the long way.
+
+    Each block pass runs over the extended basis and keeps its generator
+    slice, and each class's total starts as zeros and takes one add per
+    split, in split order.
+    """
+    weights, picks, stacks, slots = _separable_draws(d, labels, seeds)
+    count, members = len(seeds), SEPARABLE_MEMBERS
+    block_tensors = {}
+    for k, stack in stacks.items():
+        generators = (slice(None),) + (slice(1, None),) * k
+        tensors = _coefficients(_projectors(stack), d, k)[generators]
+        block_tensors[k] = tensors.reshape(count, stack.shape[1], -1)
+    out = {}
+    for c, label in enumerate(labels):
+        blocks = [block_tensors[k][:, start : start + members] for k, start in slots[c]]
+        head = blocks[0]
+        for block in blocks[1:-1]:
+            head = (head[..., :, None] * block[..., None, :]).reshape(count, members, -1)
+        total = np.zeros((count,) + (d * d - 1,) * 4)
+        for split, order in enumerate(_SPLIT_LAYOUTS[label][1]):
+            picked = np.where(picks[:, c] == split, weights, 0.0)
+            mixed = (head * picked[..., None]).swapaxes(-1, -2) @ blocks[-1]
+            total += mixed.reshape(total.shape).transpose(0, *(1 + axis for axis in order))
+        out[label] = total.reshape(count, -1)
+    return out
 
 
 def ghz_norm_sq(d, n):

@@ -24,7 +24,13 @@ from blochbounds import (
     tensor_norm_sq,
 )
 from blochbounds.cli import main
-from conftest import oracle_check_value, oracle_sample_value, separable_densities
+from conftest import (
+    oracle_check_value,
+    oracle_sample_value,
+    same_bytes,
+    separable_densities,
+    separable_tensors_by_slice,
+)
 
 
 def test_sample_spec_validation():
@@ -111,7 +117,8 @@ def test_sweep_validates_every_state_it_builds(monkeypatch):
     # four classes (the weights they share, and their block vectors as one stack per
     # block size), then the pure samples' amplitude rows (or the mixed samples'
     # matrices). Marginals and reconstructions are measured by their checks, and no dense
-    # separable mixture is formed: the only d^4 x d^4 stack contracted is the samples
+    # separable mixture is formed: the only d^4 x d^4 stack contracted is the samples.
+    # The block passes keep only the generator entries
     from blochbounds import sampling
 
     assert not hasattr(sampling, "_check_amplitudes")
@@ -120,9 +127,9 @@ def test_sweep_validates_every_state_it_builds(monkeypatch):
     for name in ("_check_densities", "_check_amplitudes", "_check_weights", "_coefficients"):
         original = getattr(sweeps, name)
 
-        def recording(stack, *args, _original=original, _name=name):
-            seen.append((_name, stack.shape))
-            return _original(stack, *args)
+        def recording(stack, *args, _original=original, _name=name, **kwargs):
+            seen.append((_name, stack.shape, kwargs))
+            return _original(stack, *args, **kwargs)
 
         monkeypatch.setattr(sweeps, name, recording)
 
@@ -138,25 +145,29 @@ def test_sweep_validates_every_state_it_builds(monkeypatch):
         return [
             call
             for b in (size, 3)
-            for call in [("_check_weights", (b, 8))]
+            for call in [("_check_weights", (b, 8), {})]
             + [
                 block
                 for k in (1, 2, 3)
                 for block in [
-                    ("_check_amplitudes", (b * rows[k], 2**k)),
-                    ("_coefficients", (b, rows[k], 2**k, 2**k)),
+                    ("_check_amplitudes", (b * rows[k], 2**k), {}),
+                    ("_coefficients", (b, rows[k], 2**k, 2**k), {"generators": True}),
                 ]
             ]
             + samples(b)
         ]
 
     run_sweep(SampleSpec(2, 4, PURE_HAAR, size + 3, 41))
-    pure = calls(lambda b: [("_check_amplitudes", (b, 16)), ("_coefficients", (b, 16, 16))])
+    pure = calls(
+        lambda b: [("_check_amplitudes", (b, 16), {}), ("_coefficients", (b, 16, 16), {})]
+    )
     assert seen == pure
 
     seen.clear()
     run_sweep(SampleSpec(2, 4, MIXED_GINIBRE, size + 3, 41))
-    mixed = calls(lambda b: [("_check_densities", (b, 16, 16)), ("_coefficients", (b, 16, 16))])
+    mixed = calls(
+        lambda b: [("_check_densities", (b, 16, 16), {}), ("_coefficients", (b, 16, 16), {})]
+    )
     assert seen == mixed
 
 
@@ -472,6 +483,22 @@ def test_separable_tensor_is_the_batched_row():
     for label, rows in tensors.items():
         for row, seed in zip(rows, seeds):
             np.testing.assert_array_equal(row, separable_tensor(3, label, seed).coefficients)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("labels", [tuple(SEPARABLE_SPLITS)] + [(label,) for label in SEPARABLE_SPLITS])
+def test_separable_stage_matches_the_full_pass_route_bit_for_bit(d, chunk, labels):
+    # generator-only block passes and totals that start from the first split give the
+    # bytes of full passes sliced and zero-filled totals: the same sums, in the same order
+    seeds = [sample_seed(12, i) for i in range(chunk)]
+    expected = separable_tensors_by_slice(d, labels, seeds)
+    tensors = sweeps._separable_tensors(d, labels, seeds)
+    norms = sweeps._separable_tensors(d, labels, seeds, sweeps._squared_norms)
+    assert list(tensors) == list(norms) == list(labels)
+    for label in labels:
+        assert same_bytes(tensors[label], expected[label])
+        assert same_bytes(norms[label], sweeps._squared_norms(expected[label]))
 
 
 @pytest.mark.parametrize(
