@@ -380,6 +380,13 @@ def _render_text(obj, indent=0):
     return lines
 
 
+def _to_devnull(stream):
+    """Point ``stream``'s descriptor at ``os.devnull``, so the flush at exit writes there."""
+    # a stream without a descriptor (an in-memory one) is left as it is
+    with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -387,11 +394,12 @@ def main(argv=None) -> int:
         text = _dumps(report) if args.format == "json" else "\n".join(_render_text(report))
         print(text, flush=True)
     except Exception as exc:
-        if isinstance(exc, BrokenPipeError):  # so the flush at exit writes to os.devnull
-            with contextlib.suppress(OSError):  # where stdout has a descriptor
-                fd = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            _to_devnull(sys.stdout)
+        try:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr, flush=True)
+        except OSError:  # stderr's reader is gone too: the line is dropped
+            _to_devnull(sys.stderr)
         return 2
     return code
 

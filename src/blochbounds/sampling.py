@@ -25,7 +25,7 @@ seeds, reads every seed's stream once and transforms the whole stack at
 once into raw arrays. A draw call builds one Philox and re-keys it for each
 seed (``_streams``), which reads the same words as a fresh
 ``Philox(key=seed)`` per seed. The Haar and Ginibre draws read their
-uniforms with ``Generator.random``, two calls per seed; the separable
+uniforms with ``Generator.random``, one call per seed; the separable
 draws decode the raw words themselves, since the split picks and block
 uniforms of a mixture's ``SEPARABLE_MEMBERS`` members would take two
 ``Generator`` calls per member. Each class's stream has a fixed period (see
@@ -167,13 +167,13 @@ def _uniforms(words) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _box_muller(u1, u2):
-    """Complex normals ``r cos(a) + i r sin(a)`` from uniforms, elementwise.
+def _box_muller(uniforms):
+    """Complex normals ``r cos(a) + i r sin(a)`` from a ``(..., 2, m)`` block of uniforms.
 
-    ``u1`` must lie in (0, 1] so that the log stays finite; ``u2`` has its shape.
+    Row 0 holds the ``u1`` of the radii ``sqrt(-2 log(1 - u1))``, row 1 the ``u2`` of the angles.
     """
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
+    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[..., 0, :]))
+    angle = 2.0 * np.pi * uniforms[..., 1, :]
     out = np.empty(radius.shape, complex)
     np.multiply(radius, np.cos(angle), out=out.real)
     np.multiply(radius, np.sin(angle), out=out.imag)
@@ -183,15 +183,13 @@ def _box_muller(u1, u2):
 def _complex_normals(seeds, count) -> np.ndarray:
     """``(len(seeds), count)`` complex normals; row i holds the first draws of seed i's stream.
 
-    Each row reads ``count`` uniforms for the radii, then ``count`` for the
-    angles, and all rows go through one Box-Muller transform.
+    Each seed fills its ``(2, count)`` block of uniforms, radii then angles, in one
+    read, and all blocks go through one Box-Muller transform.
     """
-    u1 = np.empty((len(seeds), count))
-    u2 = np.empty((len(seeds), count))
-    for rng, row1, row2 in zip(_streams(seeds), u1, u2):
-        rng.random(out=row1)
-        rng.random(out=row2)
-    return _box_muller(np.subtract(1.0, u1, out=u1), u2)
+    uniforms = np.empty((len(seeds), 2, count))
+    for rng, block in zip(_streams(seeds), uniforms):
+        rng.random(out=block)
+    return _box_muller(uniforms)
 
 
 def _haar_amplitudes(d, n, seeds) -> np.ndarray:
@@ -341,7 +339,7 @@ def _separable_draws(d, labels, seeds):
     for k in sorted(groups):
         block = np.concatenate(groups[k], axis=1)
         # _box_muller allocates C-contiguous normals, so each row's norm sums as one draw's does
-        normals = _box_muller(1.0 - block[:, :, 0], block[:, :, 1])
+        normals = _box_muller(block)
         stacks[k] = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
     return weights, picks, stacks, tuple(slots)
 

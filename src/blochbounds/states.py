@@ -180,12 +180,13 @@ def _check_densities(mats):
     Positivity is gated by a Cholesky factorization of ``H + atol*I``, with
     H the Hermitian part: it succeeds when every eigenvalue of H exceeds
     ``-atol``. Only when it fails are the eigenvalues computed, and a matrix
-    is refused when its smallest eigenvalue lies below ``-atol``.
+    is refused when its smallest eigenvalue lies below ``-atol``. The stack's
+    adjoint is formed once, C-contiguous, and H + atol*I is built in its buffer.
     """
     dim = mats.shape[-1]
     if not np.isfinite(mats).all():
         raise ValueError("matrix contains non-finite entries (NaN or infinity)")
-    adjoint = mats.conj().swapaxes(-1, -2)
+    adjoint = np.conjugate(mats.swapaxes(-1, -2), out=np.empty(mats.shape, complex))
     herm_dev = np.abs(mats - adjoint).max(axis=(-2, -1))
     bad = herm_dev > DEFAULT_ATOL
     if bad.any():
@@ -194,11 +195,11 @@ def _check_densities(mats):
     bad = np.abs(traces - 1.0) > DEFAULT_ATOL
     if bad.any():
         raise ValueError(f"trace {complex(traces[bad.argmax()])!r} is not 1 within {DEFAULT_ATOL}")
-    # H + atol*I, built in the adjoint's buffer: the gate holds the matrices, it and the factor
+    # the gate holds the matrices, the adjoint's buffer and the factor
     shifted = np.add(mats, adjoint, out=adjoint)
     shifted *= 0.5
-    diagonal = np.arange(dim)
-    shifted[:, diagonal, diagonal] += DEFAULT_ATOL
+    # the diagonal as a strided view: the buffer is C-contiguous, so Cholesky reads the shift
+    shifted.reshape(len(shifted), dim * dim)[:, :: dim + 1] += DEFAULT_ATOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:  # rare: H again, unshifted

@@ -556,6 +556,38 @@ def test_a_reader_closing_stdout_early_exits_two_with_one_line():
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["stdout", "stdout-and-stderr"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--d", "2"],
+        ["decompose", "--builtin", "ghz", "--d", "4", "--parties", "4", "--format", "json"],
+        ["decompose", "--state", "/nonexistent.json"],
+    ],
+    ids=["bounds", "decompose-ghz", "missing-state"],
+)
+def test_a_closed_pipe_exits_two(argv, shared):
+    # the pipe's reader is gone before the command starts; with stderr on it too
+    # the error line cannot be written, and the exit is still 2
+    src = Path(__file__).resolve().parents[1] / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "blochbounds.cli", *argv],
+            stdout=write,
+            stderr=write if shared else subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write)
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 2
+    if not shared:
+        err = err.decode()
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
