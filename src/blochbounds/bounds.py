@@ -312,4 +312,4 @@ def tradeoff_check(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> TradeoffR
     per_triple = {t: float(norm_sq[0]) for t, norm_sq in norms.items() if len(t) == 3}
     total = float(_sums_by_order(norms, 4)[3][0])
     bound = triple_sum_bound(rho.local_dim)
-    return TradeoffResult(total, bound, total <= bound + tol, per_triple)
+    return TradeoffResult(total, bound, total - bound <= tol, per_triple)

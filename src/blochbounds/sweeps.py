@@ -64,7 +64,6 @@ from .sampling import (
     _haar_amplitudes,
     _sample_seeds,
     _separable_draws,
-    sample_seed,
 )
 from .states import (
     DensityMatrix,
@@ -163,7 +162,8 @@ class SampleSpec:
         """
         if not 0 <= _check_int(index, "sample index") < self.count:
             raise ValueError(f"sample index must lie in 0..{self.count - 1}, got {index}")
-        chunk = _Chunk(self, [sample_seed(self.base_seed, index)], (), _StageClock(_STAGES))
+        seeds = _sample_seeds(self.base_seed, index, index + 1).tolist()
+        chunk = _Chunk(self, seeds, (), _StageClock(_STAGES))
         return DensityMatrix(chunk.rho[0], self.local_dim, self.num_parties)
 
 
@@ -172,9 +172,9 @@ class CheckOutcome:
     """Worst case of one check over a sweep.
 
     ``worst_index`` is the first sample attaining ``max_observed`` (the
-    first NaN, if any) and ``worst_seed`` its per-sample seed: for a
-    per-sample check ``spec.draw(worst_index)`` replays the state through
-    the chunk's own draw code, and for a ``separable-*`` check
+    first NaN, if any) and ``worst_seed`` the seed its chunk drew it with:
+    for a per-sample check ``spec.draw(worst_index)`` replays the state
+    through the chunk's own draw code, and for a ``separable-*`` check
     ``tensor_norm_sq(separable_tensor(d, label, worst_seed))`` replays
     ``max_observed`` bit for bit. A failed outcome may come from a derived
     value (a marginal or reconstruction) that broke; it is reported here,
@@ -610,8 +610,8 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
         raise ValueError("no checks requested")
     labels = tuple(check.separable for check in selected if check.separable)
 
-    # check name -> (index, value) of its worst sample so far
-    worst = {check.name: (0, -math.inf) for check in selected}
+    # check name -> (index, seed, value) of its worst sample so far
+    worst = {}
     clock = _StageClock((*_STAGES, *(check.name for check in selected)))
     # a chunk's separable stage frees its arrays before the samples' stack is drawn
     ordered = sorted(selected, key=lambda check: check.separable is None)
@@ -624,15 +624,16 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
             values = clock.run(check.name, check.evaluate, ctx)
             i = int(np.argmax(values))  # the first NaN, else the first maximum
             value = float(values[i])
-            best = worst[check.name][1]
-            # a NaN found earlier stays; otherwise a NaN or a strictly larger value replaces it
-            if not math.isnan(best) and not value <= best:
-                worst[check.name] = (indices[i], value)
+            best = worst.get(check.name)
+            # the first chunk sets it; then a NaN found earlier stays, and otherwise
+            # a NaN or a strictly larger value replaces it
+            if best is None or (not math.isnan(best[2]) and not value <= best[2]):
+                worst[check.name] = (indices[i], seeds[i], value)
 
     outcomes = []
     for check in selected:
         check_tol = tol if tol is not None else check.tol
-        index, value = worst[check.name]
+        index, seed, value = worst[check.name]
         bound = check.bound(spec)
         margin = value - bound
         outcomes.append(
@@ -645,7 +646,7 @@ def run_sweep(spec: SampleSpec, checks=None, tol: float | None = None) -> SweepR
                 check_tol,
                 margin <= check_tol,
                 index,
-                sample_seed(spec.base_seed, index),
+                seed,
             )
         )
     return SweepReport(spec, tuple(outcomes), all(o.passed for o in outcomes), clock.seconds)

@@ -312,6 +312,24 @@ def test_tradeoff_per_triple_sums_to_total():
     assert result.sum_sq == total
 
 
+def test_tradeoff_judges_its_cap_as_classify_does(monkeypatch):
+    # at a cap one tolerance below the sum, ``total <= bound + tol`` can round to true
+    # while ``total - bound <= tol``, the rule of classify and every sweep check, is false
+    from blochbounds import bounds
+
+    rho = from_pure(haar_random_pure(2, 4, 1))
+    total = tradeoff_check(rho).sum_sq
+    near = total - 1e-9
+    caps = (near + k * np.spacing(near) for k in range(-4, 5))
+    edges = [cap for cap in caps if total <= cap + 1e-9 and not total - cap <= 1e-9]
+    assert edges  # 6.175770732518634 among them, for a sum of 6.175770733518634
+    for bound in edges:
+        monkeypatch.setattr(bounds, "triple_sum_bound", lambda d: float(bound))
+        result = tradeoff_check(rho)
+        assert (result.sum_sq, result.bound) == (total, bound)
+        assert not result.satisfied
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), True, "1e-9"])
 def test_non_finite_tolerance_rejected(tol):
     rho = isotropic_ghz4(0.7, 2)

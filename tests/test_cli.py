@@ -255,15 +255,16 @@ def test_verify_names_the_worst_sample_in_json_and_text(capsys):
 
 
 def test_verify_timings_flag_adds_only_the_timings(capsys):
-    argv = ("verify", "--d", "2", "--parties", "4", "--samples", "3", "--seed", "1")
-    _, plain, _ = run_json(capsys, *argv)
-    code, timed, _ = run_json(capsys, *argv, "--timings")
-    assert code == 0 and "timings" not in plain
-    timings = timed.pop("timings")
-    assert timed == plain
-    checks = [check["name"] for check in plain["checks"]]
-    assert list(timings) == ["rho", "coeffs", "norms", "separable", *checks]
-    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timings.values())
+    for d, samples in (("3", "4"), ("2", "3")):
+        argv = ("verify", "--d", d, "--parties", "4", "--samples", samples, "--seed", "1")
+        _, plain, _ = run_json(capsys, *argv)
+        code, timed, _ = run_json(capsys, *argv, "--timings")
+        assert code == 0 and "timings" not in plain
+        timings = timed.pop("timings")
+        assert timed == plain
+        checks = [check["name"] for check in plain["checks"]]
+        assert list(timings) == ["rho", "coeffs", "norms", "separable", *checks]
+        assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timings.values())
     code, text, _ = run_cli(capsys, *argv, "--timings")
     assert code == 0 and "\ntimings:\n  rho: " in text
 
@@ -682,6 +683,18 @@ def test_a_pure_document_is_held_to_its_projector_rule(capsys, tmp_path, command
         assert code == 0 and out and err == ""
 
 
+@pytest.mark.parametrize("command", ["decompose", "classify", "tradeoff"])
+def test_one_hermiticity_rule_for_every_state_command(capsys, tmp_path, command):
+    # a matrix within 1e-9 of Hermitian is a state and goes through; one beyond is refused
+    doc = state_to_json(isotropic_ghz4(0.5, 2))
+    doc["matrix"][0][15][1] = 4e-10  # its mirror entry [15][0] stays real
+    code, out, err = run_cli(capsys, command, "--state", _state_file(tmp_path, json.dumps(doc)))
+    assert code == 0 and out and err == ""
+    doc["matrix"][0][15][1] = 2.4e-9
+    code, out, err = run_cli(capsys, command, "--state", _state_file(tmp_path, json.dumps(doc)))
+    assert (code, out, err) == (2, "", "error: matrix deviates from Hermitian by 2.400e-09\n")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEX_DOCS))
 def test_malformed_complex_entries_in_state_file_exit_two(capsys, tmp_path, case):
     path = _state_file(tmp_path, json.dumps(MALFORMED_COMPLEX_DOCS[case]))
@@ -764,10 +777,11 @@ def test_state_flags_the_state_does_not_take_exit_two(capsys, tmp_path, monkeypa
     # a flag is refused, never dropped: the same documents given as --state exit 2 too
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(json.dumps(state_to_json(isotropic_ghz4(0.5, 2))))
-    code, out, err = run_cli(capsys, "classify", *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert message in err
+    for command in ("classify", "decompose"):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert message in err
 
 
 def _builtin_doc(name, **keys):
@@ -835,11 +849,13 @@ def test_builtin_flags_and_documents_refuse_alike(capsys, tmp_path, case):
 @pytest.mark.parametrize("case", sorted(BUILTIN_ACCEPTS))
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_builtin_flags_and_documents_give_the_same_report(capsys, tmp_path, case, fmt):
+    # one report either way, or one refusal where classify meets a three-party state
     argv, doc = BUILTIN_ACCEPTS[case]
-    flags = run_cli(capsys, "decompose", *argv, "--format", fmt)
     path = _state_file(tmp_path, json.dumps(doc))
-    assert flags[0] == 0 and flags[1]
-    assert run_cli(capsys, "decompose", "--state", path, "--format", fmt) == flags
+    for command in ("decompose", "classify"):
+        flags = run_cli(capsys, command, *argv, "--format", fmt)
+        assert flags[0] == (2 if command == "classify" and case == "ghz" else 0)
+        assert run_cli(capsys, command, "--state", path, "--format", fmt) == flags
 
 
 @pytest.mark.parametrize("case", sorted(UNREAD_PARAM_DOCS))
@@ -911,10 +927,15 @@ def test_tolerance_env_override(capsys, monkeypatch):
     ],
     ids=["classify", "tradeoff", "verify"],
 )
-def test_non_positive_tolerance_exits_two(capsys, argv):
+def test_non_positive_tolerance_exits_two(capsys, monkeypatch, argv):
+    # the library refuses it, whether given by the flag or by the environment
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: comparison tolerance must be positive") and err.count("\n") == 1
+    for value in ("0", "-1"):
+        monkeypatch.setenv("BLOCHBOUNDS_TOL", value)
+        line = f"error: comparison tolerance must be positive and finite, got {float(value)}\n"
+        assert run_cli(capsys, *argv[:-2]) == (2, "", line)
 
 
 @pytest.mark.parametrize(
@@ -1050,12 +1071,17 @@ def d4_matrix_file(tmp_path_factory):
 
 def test_d4_report_and_dump_keep_the_stdlib_layouts(capsys, tmp_path, d4_matrix_file):
     dump = tmp_path / "dump.json"
-    argv = ["decompose", "--state", str(d4_matrix_file), "--dump-state", str(dump)]
-    code, out, _ = run_cli(capsys, *argv, "--format", "json")
-    assert code == 0
-    assert_indent_layout(out)
-    assert sum(len(t["coefficients"]) for t in json.loads(out)["tensors"]) == 65_535
-    assert_compact_layout(dump.read_text())
+    sources = [
+        (["--state", str(d4_matrix_file)], 65_535),
+        (["--builtin", "product_max_entangled", "--d", "2"], 255),
+    ]
+    for source, coefficients in sources:
+        argv = ["decompose", *source, "--dump-state", str(dump)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert_indent_layout(out)
+        assert sum(len(t["coefficients"]) for t in json.loads(out)["tensors"]) == coefficients
+        assert_compact_layout(dump.read_text())
 
 
 def test_dumps_matches_the_stdlib_indent_encoder_on_edge_values():

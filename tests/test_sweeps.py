@@ -230,17 +230,34 @@ def test_sweep_matches_per_sample_oracle_across_chunk_edges(spec):
             assert outcome.worst_seed == sample_seed(spec.base_seed, outcome.worst_index)
 
 
+def _replayed(spec, outcome):
+    """``outcome``'s check value on its worst sample, replayed from its index or its seed."""
+    if outcome.name.startswith("separable-"):
+        label = outcome.name[len("separable-"):]
+        return tensor_norm_sq(separable_tensor(spec.local_dim, label, outcome.worst_seed))
+    return oracle_check_value(spec.draw(outcome.worst_index), outcome.name)
+
+
 @pytest.mark.parametrize("kind", [PURE_HAAR, MIXED_GINIBRE])
 def test_worst_sample_replays_its_maximum(kind):
     spec = SampleSpec(2, 4, kind, 40, 31)
     report = run_sweep(spec)
     for outcome in report.checks:
-        if outcome.name.startswith("separable-"):
-            label = outcome.name[len("separable-"):]
-            value = tensor_norm_sq(separable_tensor(spec.local_dim, label, outcome.worst_seed))
-        else:
-            value = oracle_check_value(spec.draw(outcome.worst_index), outcome.name)
-        assert _replays(outcome.name, value, outcome.max_observed), outcome.name
+        assert _replays(outcome.name, _replayed(spec, outcome), outcome.max_observed), outcome.name
+
+
+@pytest.mark.parametrize("kind", [PURE_HAAR, MIXED_GINIBRE])
+def test_the_worst_seed_is_the_seed_its_chunk_drew(monkeypatch, kind):
+    # chunks and draw hash their seeds in one place; with other seeds there, the report
+    # names the seed each worst sample was drawn with, and draw replays it
+    original = sweeps._sample_seeds
+    monkeypatch.setattr(
+        sweeps, "_sample_seeds", lambda base_seed, start, stop: original(base_seed + 1, start, stop)
+    )
+    spec = SampleSpec(2, 4, kind, 40, 31)
+    for outcome in run_sweep(spec).checks:
+        assert outcome.worst_seed == sample_seed(spec.base_seed + 1, outcome.worst_index)
+        assert _replays(outcome.name, _replayed(spec, outcome), outcome.max_observed), outcome.name
 
 
 @pytest.mark.parametrize(
@@ -370,6 +387,8 @@ def test_stage_timings_are_always_reported():
     assert run_sweep(spec) == timed  # reports compare equal whatever their timings
     checks = ["separable-1-3", "ball-radius"]
     assert list(run_sweep(spec, checks=checks).timings) == stages + checks
+    # a sweep with no separable check lists every stage too, its own first
+    assert list(run_sweep(SampleSpec(2, 3, count=4)).timings)[:4] == stages
 
 
 def test_stages_no_check_needs_read_zero():
