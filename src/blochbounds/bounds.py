@@ -70,13 +70,19 @@ def _closed_form(formula):
 
 
 @_closed_form
+def _one_party_cap(d) -> float:
+    """Largest possible squared norm of a one-party tensor (a Bloch vector): 2(1 - 1/d)."""
+    return 2.0 * (1.0 - 1.0 / d)
+
+
+@_closed_form
 def ball_radii(d):
     """Inner and outer radii (r, R) of the single-qudit Bloch body.
 
     Every valid Bloch vector has norm at most R = sqrt(2(1 - 1/d)), and
     every vector of norm at most r = sqrt(2/(d(d-1))) yields a valid state.
     """
-    return math.sqrt(2.0 / (d * (d - 1))), math.sqrt(2.0 * (1.0 - 1.0 / d))
+    return math.sqrt(2.0 / (d * (d - 1))), math.sqrt(_one_party_cap(d))
 
 
 @_closed_form
@@ -95,6 +101,15 @@ def tripartite_norm_bound(d) -> float:
 def fourpartite_norm_bound(d) -> float:
     """Largest possible squared norm of a four-party tensor: 16(d^2 - 1)^2/d^4."""
     return 16.0 * (d * d - 1) ** 2 / d**4
+
+
+#: k -> the closed form of the largest squared norm of a k-party tensor, k = 1..4.
+_NORM_CAPS = {
+    1: _one_party_cap,
+    2: bipartite_norm_bound,
+    3: tripartite_norm_bound,
+    4: fourpartite_norm_bound,
+}
 
 
 @_closed_form
@@ -264,10 +279,9 @@ def et_upper_bound_via_norm_bound(d, n) -> float:
     for every d; both routes are kept so reports can show the agreement
     instead of asserting it silently.
     """
-    cap = {3: tripartite_norm_bound, 4: fourpartite_norm_bound}.get(n)
-    if cap is None:
+    if n not in (3, 4):
         raise ValueError(f"the measure bound is defined for n in (3, 4), got {n}")
-    return _measure_from_norm_sq(d, n, cap(d))
+    return _measure_from_norm_sq(d, n, _NORM_CAPS[n](d))
 
 
 def et_bound_audit(d) -> dict:

@@ -46,13 +46,7 @@ from .bloch import (
     _sums_by_order,
     _triple_rule_residual,
 )
-from .bounds import (
-    bipartite_norm_bound,
-    fourpartite_norm_bound,
-    separability_thresholds,
-    triple_sum_bound,
-    tripartite_norm_bound,
-)
+from .bounds import _NORM_CAPS, separability_thresholds, triple_sum_bound
 from .sampling import (
     SEPARABLE_MEMBERS,
     SEPARABLE_SPLITS,
@@ -421,37 +415,21 @@ class _Check:
 
 
 _CHECKS = (
-    _Check(
-        "ball-radius",
-        (1, 2, 3, 4),
-        False,
-        BOUND_TOL,
-        evaluate=lambda ctx: _max_order_norm(ctx, 1),
-        bound=lambda spec: 2.0 * (1.0 - 1.0 / spec.local_dim),
-    ),
-    _Check(
-        "bipartite-norm-bound",
-        (2, 3, 4),
-        False,
-        BOUND_TOL,
-        evaluate=lambda ctx: _max_order_norm(ctx, 2),
-        bound=lambda spec: bipartite_norm_bound(spec.local_dim),
-    ),
-    _Check(
-        "tripartite-norm-bound",
-        (3, 4),
-        False,
-        BOUND_TOL,
-        evaluate=lambda ctx: _max_order_norm(ctx, 3),
-        bound=lambda spec: tripartite_norm_bound(spec.local_dim),
-    ),
-    _Check(
-        "fourpartite-norm-bound",
-        (4,),
-        False,
-        BOUND_TOL,
-        evaluate=lambda ctx: _max_order_norm(ctx, 4),
-        bound=lambda spec: fourpartite_norm_bound(spec.local_dim),
+    *(
+        _Check(
+            name,
+            tuple(range(k, 5)),
+            False,
+            BOUND_TOL,
+            evaluate=lambda ctx, k=k: _max_order_norm(ctx, k),
+            bound=lambda spec, k=k: _NORM_CAPS[k](spec.local_dim),
+        )
+        for k, name in zip(
+            _NORM_CAPS,
+            ("ball-radius", "bipartite-norm-bound", "tripartite-norm-bound",
+             "fourpartite-norm-bound"),
+            strict=True,
+        )
     ),
     _Check(
         "triple-norm-tradeoff",

@@ -35,6 +35,7 @@ from blochbounds import (
     PureState,
     SampleSpec,
 )
+from blochbounds import sweeps
 from conftest import ghz_norm_sq, single_separable_matrix
 
 
@@ -214,6 +215,26 @@ def test_measure_bound_routes_refuse_other_party_counts(route, n):
     message = rf"^the measure bound is defined for n in \(3, 4\), got {n}$"
     with pytest.raises(ValueError, match=message):
         route(2, n)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_each_norm_cap_check_bounds_by_the_cap_of_its_order(d):
+    caps = {
+        "ball-radius": (1, 2.0 * (1.0 - 1.0 / d)),
+        "bipartite-norm-bound": (2, bipartite_norm_bound(d)),
+        "tripartite-norm-bound": (3, tripartite_norm_bound(d)),
+        "fourpartite-norm-bound": (4, fourpartite_norm_bound(d)),
+    }
+    assert math.sqrt(caps["ball-radius"][1]) == ball_radii(d)[1]
+    for name, (k, cap) in caps.items():
+        check = sweeps._BY_NAME[name]
+        assert check.arities == tuple(range(k, 5))
+        assert check.bound(SampleSpec(d, 4)) == cap
+    # the one- and two-party caps do not feed the measure bound
+    for n in (1, 2):
+        message = rf"^the measure bound is defined for n in \(3, 4\), got {n}$"
+        with pytest.raises(ValueError, match=message):
+            et_upper_bound_via_norm_bound(d, n)
 
 
 def test_unknown_separability_class_is_refused():

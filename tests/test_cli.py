@@ -29,6 +29,22 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
+def child_env(**overrides):
+    """This process's environment for a child interpreter that imports the package under test.
+
+    ``overrides`` are set on top. ``OPENBLAS_VERBOSE`` is left out, since the child's OpenBLAS
+    would print its kernel on the stderr a test reads, and so are glibc's allocator tunings
+    (``MALLOC_*``, ``GLIBC_TUNABLES``), which a child's page-fault counts must not inherit.
+    """
+    env = {
+        var: value
+        for var, value in os.environ.items()
+        if var not in ("OPENBLAS_VERBOSE", "GLIBC_TUNABLES") and not var.startswith("MALLOC_")
+    }
+    env.update(overrides, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return env
+
+
 def assert_indent_layout(out):
     """``out`` is byte for byte what ``print(json.dumps(value, indent=2))`` writes of its value."""
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -297,15 +313,9 @@ def second_sweep_faults(**tuning):
     The thresholds are process-wide and this process has imported the package, so the
     sweep runs in its own interpreter.
     """
-    env = {
-        var: value
-        for var, value in os.environ.items()
-        if not var.startswith("MALLOC_") and var != "GLIBC_TUNABLES"
-    }
-    env.update(tuning, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", SECOND_SWEEP_FAULTS],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
+        env=child_env(**tuning), capture_output=True, text=True, check=True, timeout=300,
     )
     return int(done.stdout)
 
@@ -541,13 +551,12 @@ def test_any_failure_exits_two_with_one_line(capsys, monkeypatch, exc, line, tar
 
 
 def test_a_reader_closing_stdout_early_exits_two_with_one_line():
-    src = Path(__file__).resolve().parents[1] / "src"
     argv = ["decompose", "--builtin", "ghz", "--d", "4", "--parties", "4", "--format", "json"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "blochbounds.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
     )
     assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
@@ -570,7 +579,6 @@ def test_a_reader_closing_stdout_early_exits_two_with_one_line():
 def test_a_closed_pipe_exits_two(argv, shared):
     # the pipe's reader is gone before the command starts; with stderr on it too
     # the error line cannot be written, and the exit is still 2
-    src = Path(__file__).resolve().parents[1] / "src"
     read, write = os.pipe()
     os.close(read)
     try:
@@ -578,7 +586,7 @@ def test_a_closed_pipe_exits_two(argv, shared):
             [sys.executable, "-m", "blochbounds.cli", *argv],
             stdout=write,
             stderr=write if shared else subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=child_env(),
         )
     finally:
         os.close(write)

@@ -505,11 +505,14 @@ def test_separable_tensor_is_the_batched_row():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "sweep"])
 @pytest.mark.parametrize("labels", [tuple(SEPARABLE_SPLITS)] + [(label,) for label in SEPARABLE_SPLITS])
 def test_separable_stage_matches_the_full_pass_route_bit_for_bit(d, chunk, labels):
     # generator-only block passes and totals that start from the first split give the
-    # bytes of full passes sliced and zero-filled totals: the same sums, in the same order
+    # bytes of full passes sliced and zero-filled totals: the same sums, in the same order;
+    # ``None`` is the chunk a default n=4 pure sweep runs, 114, 10 and 1 samples at d = 2, 3, 4
+    if chunk is None:
+        chunk = _chunk_size(SampleSpec(d, 4))
     seeds = [sample_seed(12, i) for i in range(chunk)]
     expected = separable_tensors_by_slice(d, labels, seeds)
     tensors = sweeps._separable_tensors(d, labels, seeds)
