@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .bounds import (
     separability_thresholds,
     tradeoff_check,
 )
-from .serialize import BUILTIN_NAMES, _encode_complex, as_density, state_from_json, state_to_json
+from .serialize import BUILTIN_NAMES, _dump_matrix, _encode_complex, as_density, state_from_json
 from .states import _check_pure, purity
 from .sweeps import (
     BOUND_TOL,
@@ -205,11 +206,9 @@ def _cmd_decompose(args):
     subsets = [_parse_subset(args.subset)] if args.subset is not None else decomp.subsets()
     tensors = list(map(decomp.tensor, subsets))
     # Written once nothing can refuse the input, so a refused input leaves no file, and
-    # before the coefficient lists are built, so they and the dump text never coexist.
+    # before the coefficient lists are built, so they and the dump's row texts never coexist.
     if args.dump_state is not None:
-        text = json.dumps(state_to_json(rho))
-        with open(args.dump_state, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _dump_matrix(rho, args.dump_state)
     report = {
         "d": rho.local_dim,
         "parties": rho.num_parties,
@@ -388,6 +387,13 @@ def _to_devnull(stream):
 
 
 def main(argv=None) -> int:
+    """Run one command; the cyclic collector is paused for its length and then put back as found.
+
+    A state file decodes into tens of thousands of lists, which the collector
+    would walk again and again, and a command leaves no cyclic garbage behind.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _build_parser().parse_args(argv)
         report, code = args.handler(args)
@@ -401,6 +407,9 @@ def main(argv=None) -> int:
         except OSError:  # stderr's reader is gone too: the line is dropped
             _to_devnull(sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

@@ -17,6 +17,7 @@ four-party. A ``params`` key its builtin does not read is refused.
 
 from __future__ import annotations
 
+import json
 from numbers import Real
 
 import numpy as np
@@ -119,23 +120,61 @@ def _builtin_state(obj):
     return states.product_max_entangled(d)
 
 
+def _header(state, kind):
+    return {"d": state.local_dim, "parties": state.num_parties, "kind": kind}
+
+
 def state_to_json(state) -> dict:
     """Serialize a state: pure states dump amplitudes, densities the matrix."""
     if isinstance(state, states.PureState):
-        return {
-            "d": state.local_dim,
-            "parties": state.num_parties,
-            "kind": "pure",
-            "amplitudes": _encode_complex(state.amplitudes),
-        }
+        return {**_header(state, "pure"), "amplitudes": _encode_complex(state.amplitudes)}
     if isinstance(state, states.DensityMatrix):
-        return {
-            "d": state.local_dim,
-            "parties": state.num_parties,
-            "kind": "matrix",
-            "matrix": _encode_complex(state.matrix),
-        }
+        return {**_header(state, "matrix"), "matrix": _encode_complex(state.matrix)}
     raise TypeError(f"cannot serialize {type(state).__name__}")
+
+
+def _matrix_rows(matrix):
+    """``json.dumps`` text of each row of ``_encode_complex(matrix)``, for a 2-D complex array.
+
+    ``matrix`` has at least one column. The distinct magnitudes are
+    formatted once, by one C ``json.dumps`` call: a Hermitian matrix holds
+    each off-diagonal magnitude twice. Each entry takes its sign from
+    ``np.signbit``, so ``-0.0`` keeps it. That work is done on the call; the
+    returned iterator joins a row's text only when it is asked for the row.
+    """
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(float)  # a row is re, im, re, im, ...
+    magnitudes, index = np.unique(np.abs(parts), return_inverse=True)
+    index = index.reshape(parts.shape)
+    texts = np.array(json.dumps(magnitudes.tolist())[1:-1].split(", "), dtype=object)
+    negative = np.signbit(parts).view(np.int8)  # 1 where the sign is set: an index into signs
+    signs = np.array(["", "-"], dtype=object)
+    pieces = np.empty((parts.shape[1], 3), dtype=object)  # sign, magnitude, what follows it
+    pieces[:, 2] = [", ", "], ["] * (parts.shape[1] // 2)
+    pieces[-1, 2] = "]]"
+
+    def row(r):
+        pieces[:, 0] = signs[negative[r]]
+        pieces[:, 1] = texts[index[r]]
+        return "[[" + "".join(pieces.ravel().tolist())
+
+    return map(row, range(len(parts)))
+
+
+def _dump_matrix(state, path):
+    """Write ``json.dumps(state_to_json(state))`` of a ``DensityMatrix`` to ``path``, row by row.
+
+    The magnitudes are formatted before ``path`` is opened, so a failure
+    there leaves no file, and no whole-document string is ever built.
+    """
+    rows = _matrix_rows(state.matrix)
+    head, tail = json.dumps({**_header(state, "matrix"), "matrix": []}).split("[]")
+    with open(path, "w", encoding="utf-8") as handle:
+        separator = head + "["
+        for text in rows:
+            handle.write(separator)
+            handle.write(text)
+            separator = ", "
+        handle.write("]" + tail)
 
 
 def as_density(state) -> states.DensityMatrix:

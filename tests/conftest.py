@@ -15,7 +15,8 @@ check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
 holds state documents whose complex entries the parser must refuse, and
 ``MALFORMED_SHAPE_DOCS`` documents with a field of the wrong JSON type,
 ``UNREAD_PARAM_DOCS`` builtin documents with a parameter their builtin
-does not read.
+does not read. The ``d4_matrix_file`` fixture is a full-rank d=4, n=4
+matrix document.
 ``tensordot_coefficients`` and ``tensordot_rebuild`` are the Bloch pass as
 one ``np.tensordot`` per party, the reference the library's gemm pass must
 match bit for bit (``same_bytes``, which tells -0.0 from 0.0).
@@ -25,14 +26,17 @@ match bit for bit.
 """
 
 import itertools
+import json
 from functools import reduce
 
 import numpy as np
+import pytest
 
 from blochbounds import (
     MIXED_GINIBRE,
     PURE_HAAR,
     SEPARABLE_SPLITS,
+    DensityMatrix,
     Ensemble,
     from_ensemble,
     from_pure,
@@ -50,11 +54,24 @@ from blochbounds import (
     reconstruct,
     sample_seed,
     separable_tensor,
+    state_to_json,
     tensor_norm_sq,
 )
 from blochbounds.bloch import _coefficients
 from blochbounds.sampling import SEPARABLE_MEMBERS, _SPLIT_LAYOUTS, _separable_draws
 from blochbounds.states import _projectors
+
+
+@pytest.fixture(scope="module")
+def d4_matrix_file(tmp_path_factory):
+    """A full-rank d=4, n=4 matrix document: a 65 535-coefficient listing and a 256x256 dump."""
+    rng = np.random.default_rng(9)
+    g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / rho.trace().real
+    path = tmp_path_factory.mktemp("d4") / "matrix.json"
+    path.write_text(json.dumps(state_to_json(DensityMatrix(rho, 4, 4))))
+    return path
 
 
 def flat_index(digits, d):

@@ -1,4 +1,6 @@
+import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -1065,18 +1067,6 @@ def test_failing_verify_with_nan_keeps_the_stdlib_indent_layout(capsys, monkeypa
     assert_indent_layout(out)
 
 
-@pytest.fixture(scope="module")
-def d4_matrix_file(tmp_path_factory):
-    """A full-rank d=4, n=4 matrix document: a 65 535-coefficient listing and a 256x256 dump."""
-    rng = np.random.default_rng(9)
-    g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-    rho = g @ g.conj().T
-    rho = 0.5 * (rho + rho.conj().T) / rho.trace().real
-    path = tmp_path_factory.mktemp("d4") / "matrix.json"
-    path.write_text(json.dumps(state_to_json(DensityMatrix(rho, 4, 4))))
-    return path
-
-
 def test_d4_report_and_dump_keep_the_stdlib_layouts(capsys, tmp_path, d4_matrix_file):
     dump = tmp_path / "dump.json"
     sources = [
@@ -1090,6 +1080,60 @@ def test_d4_report_and_dump_keep_the_stdlib_layouts(capsys, tmp_path, d4_matrix_
         assert_indent_layout(out)
         assert sum(len(t["coefficients"]) for t in json.loads(out)["tensors"]) == coefficients
         assert_compact_layout(dump.read_text())
+
+
+def collections_during(capsys, *argv):
+    """``main(argv)``'s exit code and the number of collections the cyclic collector starts in it."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        code = run_cli(capsys, *argv)[0]
+    finally:
+        gc.callbacks.remove(count)
+    return code, len(started)
+
+
+def test_state_file_commands_run_no_collection(capsys, tmp_path, d4_matrix_file):
+    # the document decodes into 65 792 lists, over which an enabled collector runs about 85 times
+    state = ["--state", str(d4_matrix_file)]
+    calls = [
+        ["decompose", *state, "--dump-state", str(tmp_path / "dump.json"), "--format", "json"],
+        ["classify", *state],
+        ["tradeoff", *state],
+    ]
+    for argv in calls:
+        assert collections_during(capsys, *argv) == (0, 0), argv[0]
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting):
+    found = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["bounds", "--d", "2"]) == 0
+        assert gc.isenabled() is collecting
+        assert main(["verify", "--d", "1000", "--parties", "4", "--samples", "1", "--seed", "0"]) == 2
+        assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert gc.isenabled() is collecting
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _ClosedStdout())
+            assert main(["bounds", "--d", "2"]) == 2
+        assert gc.isenabled() is collecting
+        assert capsys.readouterr().err.count("error: ") == 2
+    finally:
+        (gc.enable if found else gc.disable)()
 
 
 def test_dumps_matches_the_stdlib_indent_encoder_on_edge_values():

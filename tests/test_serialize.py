@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochbounds import (
     DensityMatrix,
@@ -7,12 +11,14 @@ from blochbounds import (
     as_density,
     from_pure,
     ghz,
+    haar_random_pure,
     isotropic_ghz4,
     product_max_entangled,
     purity,
     state_from_json,
     state_to_json,
 )
+from blochbounds.serialize import _dump_matrix, _encode_complex, _matrix_rows
 from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS, UNREAD_PARAM_DOCS
 
 
@@ -178,3 +184,68 @@ def test_serialized_floats_preserve_exact_values():
     rho = from_pure(psi)
     back_rho = state_from_json(state_to_json(rho))
     assert np.array_equal(back_rho.matrix, rho.matrix)
+
+
+def assert_dump_is_the_stdlib_text(rho, path):
+    """``_dump_matrix`` writes ``json.dumps(state_to_json(rho))`` byte for byte."""
+    _dump_matrix(rho, path)
+    assert path.read_bytes() == json.dumps(state_to_json(rho)).encode()
+
+
+def test_dump_of_the_full_rank_d4_document_is_the_stdlib_text(tmp_path, d4_matrix_file):
+    rho = state_from_json(json.loads(d4_matrix_file.read_text()))
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)  # every off-diagonal magnitude twice
+    assert_dump_is_the_stdlib_text(rho, tmp_path / "dump.json")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dump_of_a_pure_projector_is_the_stdlib_text(tmp_path, seed):
+    # a rounded outer product need not be exactly Hermitian, so fewer magnitudes pair up
+    assert_dump_is_the_stdlib_text(from_pure(haar_random_pure(4, 4, seed)), tmp_path / "dump.json")
+
+
+def test_dump_with_no_shared_magnitude_is_the_stdlib_text(tmp_path, d4_matrix_file):
+    mat = state_from_json(json.loads(d4_matrix_file.read_text())).matrix.copy()
+    lower = np.tril_indices(len(mat), -1)
+    mat[lower] = np.nextafter(mat[lower].real, np.inf) + 1j * np.nextafter(mat[lower].imag, np.inf)
+    rho = DensityMatrix(mat, 4, 4)
+    off_diagonal = rho.matrix[~np.eye(len(mat), dtype=bool)].view(float)
+    assert np.unique(np.abs(off_diagonal)).size == off_diagonal.size
+    assert_dump_is_the_stdlib_text(rho, tmp_path / "dump.json")
+
+
+def test_dump_keeps_signed_zeros_subnormals_and_exponent_forms(tmp_path):
+    zeros = [[complex(0.5, -0.0), complex(-0.0, 0.0)], [complex(-0.0, -0.0), complex(0.5, 0.0)]]
+    small = [[1 - 1e-05, complex(5e-324, 1e-05)], [complex(-5e-324, -1e-05), 1e-05]]
+    cases = [
+        (zeros, "[[[0.5, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [0.5, 0.0]]]"),
+        (small, "[[[0.99999, 0.0], [5e-324, 1e-05]], [[-5e-324, -1e-05], [1e-05, 0.0]]]"),
+    ]
+    for matrix, text in cases:
+        path = tmp_path / "dump.json"
+        assert_dump_is_the_stdlib_text(DensityMatrix(matrix, 2, 1), path)
+        assert path.read_text().endswith(f'"matrix": {text}}}')
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dump_of_every_builtin_is_the_stdlib_text(tmp_path, d):
+    for state in (ghz(d, 4), ghz(d, 2), isotropic_ghz4(0.3, d), product_max_entangled(d)):
+        assert_dump_is_the_stdlib_text(as_density(state), tmp_path / "dump.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_matrix_rows_are_the_stdlib_text_of_each_row(pool, rows, columns, data):
+    # entries drawn from a small pool with random signs, so magnitudes repeat and negate
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=2 * rows * columns,
+                               max_size=2 * rows * columns))
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(picks),
+                               max_size=len(picks)))
+    parts = np.array(picks) * np.array(signs)
+    matrix = parts.view(complex).reshape(rows, columns)
+    assert list(_matrix_rows(matrix)) == [json.dumps(row) for row in _encode_complex(matrix)]
