@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bloch import _subset_norms, _sums_by_order, bloch_tensor, full_decomposition, tensor_norm_sq
+from .sampling import _SPLIT_LAYOUTS
 from .states import DensityMatrix, PureState, _check_local_dim, _check_tol, from_pure
 
 __all__ = [
@@ -171,10 +172,11 @@ class SeparabilityThresholds:
         return dict(zip(CLASS_LABELS, (self.t1111, self.t112, self.t13, self.t22)))
 
     def for_class(self, label: str) -> float:
-        try:
-            return self.as_dict()[label]
-        except KeyError:
-            raise ValueError(f"unknown separability class {label!r}") from None
+        if not isinstance(label, str) or label not in _SPLIT_LAYOUTS:
+            raise ValueError(f"unknown separability class {label!r}")
+        if label not in CLASS_LABELS:
+            raise ValueError(f"separability class {label!r} has no four-party threshold")
+        return self.as_dict()[label]
 
 
 @_closed_form

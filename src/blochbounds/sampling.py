@@ -37,9 +37,11 @@ validates each chunk's draw where it draws it.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .states import MAX_DENSE_BYTES, DensityMatrix, PureState, _check_dims, _check_int
+from .states import MAX_DENSE_BYTES, MAX_PARTIES, DensityMatrix, PureState, _check_dims, _check_int
 
 __all__ = [
     "splitmix64",
@@ -60,40 +62,37 @@ _GOLDEN = 0x9E3779B97F4A7C15
 #: one pick word holds the split picks of two members (see ``_separable_draws``).
 SEPARABLE_MEMBERS = 8
 
-#: Partitions of the four parties allowed within each separability class.
-#: Within a class every split lists its blocks in the same size order.
-SEPARABLE_SPLITS = {
-    "1-3": (
-        ((1,), (2, 3, 4)),
-        ((2,), (1, 3, 4)),
-        ((3,), (1, 2, 4)),
-        ((4,), (1, 2, 3)),
-    ),
-    "2-2": (
-        ((1, 2), (3, 4)),
-        ((1, 3), (2, 4)),
-        ((1, 4), (2, 3)),
-    ),
-    "1-1-2": (
-        ((1,), (2,), (3, 4)),
-        ((1,), (3,), (2, 4)),
-        ((1,), (4,), (2, 3)),
-        ((2,), (3,), (1, 4)),
-        ((2,), (4,), (1, 3)),
-        ((3,), (4,), (1, 2)),
-    ),
-    "1-1-1-1": (((1,), (2,), (3,), (4,)),),
-}
 
-#: Per class, the party counts of its members' blocks, and per split the axis
-#: permutation that takes a four-party array built block by block in that
-#: split (one axis per party) to party order.
+def _split_classes(n):
+    """``(label, splits)`` of each separability class of ``n`` parties, by one set-partition rule.
+
+    A class writes ``n`` as two or more block sizes, labelled ascending
+    (``1-1-2``); classes go by block count, then sizes. Its splits are the
+    set partitions of ``1..n`` into such blocks, each sorted by (size,
+    parties), in lexicographic order.
+    """
+    for count in range(2, n + 1):
+        for sizes in itertools.combinations_with_replacement(range(1, n), count):
+            if sum(sizes) == n:
+                cuts = tuple(itertools.pairwise((0, *itertools.accumulate(sizes))))
+                splits = {
+                    tuple(sorted((tuple(sorted(order[a:b])) for a, b in cuts), key=lambda b: (len(b), b)))
+                    for order in itertools.permutations(range(1, n + 1))
+                }
+                yield "-".join(map(str, sizes)), tuple(sorted(splits))
+
+
+#: The four-party classes of ``_split_classes``: label -> the partitions the class allows.
+SEPARABLE_SPLITS = dict(_split_classes(4))
+
+#: Per class of 2..4 parties, its members' block sizes, and per split the axis permutation
+#: that takes an n-party array built block by block in that split to party order.
 _SPLIT_LAYOUTS = {
     label: (
         tuple(len(block) for block in splits[0]),
         tuple(tuple(np.argsort([p for block in split for p in block]).tolist()) for split in splits),
     )
-    for label, splits in SEPARABLE_SPLITS.items()
+    for n in range(2, MAX_PARTIES + 1) for label, splits in _split_classes(n)
 }
 
 
@@ -279,7 +278,7 @@ def _read_members(d, label, seed):
     picks = np.empty(SEPARABLE_MEMBERS, dtype=np.intp)
     uniforms = np.empty((SEPARABLE_MEMBERS, reads))
     for m in range(SEPARABLE_MEMBERS):
-        picks[m] = rng.integers(len(SEPARABLE_SPLITS[label]))
+        picks[m] = rng.integers(len(_SPLIT_LAYOUTS[label][1]))
         uniforms[m] = rng.random(reads)
     return picks, uniforms
 
@@ -287,23 +286,22 @@ def _read_members(d, label, seed):
 def _separable_draws(d, labels, seeds):
     """The members of separable mixtures of each class in ``labels``, one mixture per seed.
 
-    Each class reads a seed's stream from its start: the ``M - 1`` simplex
-    cuts of its ``M = SEPARABLE_MEMBERS`` members, the same for every
-    class, then per member ``R = 2 * sum of d**k`` uniforms (per block the
-    radii, then the angles). A class of one split reads no pick; any other
-    class reads ``M / 2`` periods of ``1 + 2 R`` words, a pick word (its
-    low half for an even member, its high half for the next) and two
-    members' uniforms. A class whose pick Lemire's rule rejects on some
-    seed is read again there by ``_read_members``. All k-party blocks go
-    through one Box-Muller transform and are normalized as one stack per
-    ``k``.
+    ``labels`` may name classes of 2..4 parties. Each class reads a seed's
+    stream from its start: the ``M - 1`` simplex cuts of its
+    ``M = SEPARABLE_MEMBERS`` members, the same for every class, then per
+    member ``R = 2 * sum of d**k`` uniforms (per block the radii, then the
+    angles). A class of one split reads no pick; any other class reads
+    ``M / 2`` periods of ``1 + 2 R`` words, a pick word (its low half for
+    an even member, its high half for the next) and two members' uniforms.
+    A class whose pick Lemire's rule rejects on some seed is read again
+    there by ``_read_members``. All k-party blocks go through one
+    Box-Muller transform and are normalized as one stack per ``k``.
 
     Returns the ``(B, M)`` weights, the ``(B, len(labels), M)`` split picks
-    (an index into ``SEPARABLE_SPLITS[label]``), per ``k`` the normalized
-    vectors of every class's k-party blocks as one ``(B, rows, d**k)``
-    stack, and per class the ``(k, start)`` of each block: its members are
-    rows ``start`` to ``start + M`` of the k-party stack. See
-    ``random_separable``.
+    (an index into the class's splits), per ``k`` the normalized vectors of
+    every class's k-party blocks as one ``(B, rows, d**k)`` stack, and per
+    class the ``(k, start)`` of each block: its members are rows ``start``
+    to ``start + M`` of the k-party stack. See ``random_separable``.
     """
     count, members = len(seeds), SEPARABLE_MEMBERS
     periods = members // 2
@@ -317,7 +315,7 @@ def _separable_draws(d, labels, seeds):
     picks = np.zeros((count, len(labels), members), dtype=np.intp)
     groups, slots = {}, []
     for c, (label, r) in enumerate(zip(labels, reads)):
-        splits = len(SEPARABLE_SPLITS[label])
+        splits = len(_SPLIT_LAYOUTS[label][1])
         if splits > 1:
             period = body[:, : periods * (1 + 2 * r)].reshape(count, periods, 1 + 2 * r)
             halves = np.stack([period[..., 0] & _MASK32, period[..., 0] >> np.uint64(32)], axis=-1)
@@ -345,24 +343,24 @@ def _separable_draws(d, labels, seeds):
 
 
 def _check_separable(d, label, seed):
-    """``(d, seed)`` of one separable draw, validated; see ``random_separable``."""
-    if label not in SEPARABLE_SPLITS:
+    """``(d, n, seed)`` of one separable draw, validated, with ``n`` the class's party count."""
+    if not isinstance(label, str) or label not in _SPLIT_LAYOUTS:
         raise ValueError(f"unknown separability class {label!r}")
-    d, _ = _check_dims(d, 4)
-    return d, _check_seed(seed)
+    d, n = _check_dims(d, sum(_SPLIT_LAYOUTS[label][0]))
+    return d, n, _check_seed(seed)
 
 
 def random_separable(d, label, seed) -> DensityMatrix:
-    """Random four-party mixture of product states from one separability class.
+    """Random mixture of product states from one separability class of n = 2..4 parties.
 
+    ``label`` is a class of ``_split_classes``, ``1-1`` to ``1-1-1-1``.
     Each of the ``SEPARABLE_MEMBERS`` pure members picks one partition
-    allowed by the class (see ``SEPARABLE_SPLITS``) and independent Haar
-    factors on its blocks; the mixture weights are uniform on the simplex.
-    The result is a genuinely mixed member of the class, not just a pure
-    product state. ``sweeps.separable_tensor`` gives the four-party tensor
-    of the same draw without forming the matrix.
+    allowed by the class and independent Haar factors on its blocks; the
+    mixture weights are uniform on the simplex. The result is a genuinely
+    mixed member of the class, not just a pure product state.
+    ``sweeps.separable_tensor`` gives ``T^(1..n)`` of the same draw.
     """
-    d, seed = _check_separable(d, label, seed)
+    d, n, seed = _check_separable(d, label, seed)
     weights, picks, stacks, slots = _separable_draws(d, (label,), [seed])
     blocks = [stacks[k][0, start : start + SEPARABLE_MEMBERS] for k, start in slots[0]]
     vectors = blocks[0]
@@ -371,6 +369,6 @@ def random_separable(d, label, seed) -> DensityMatrix:
     # each member's product vector, built block by block, in party order
     orders = _SPLIT_LAYOUTS[label][1]
     vectors = np.stack(
-        [v.reshape((d,) * 4).transpose(orders[s]).reshape(-1) for v, s in zip(vectors, picks[0, 0])]
+        [v.reshape((d,) * n).transpose(orders[s]).reshape(-1) for v, s in zip(vectors, picks[0, 0])]
     )
-    return DensityMatrix((vectors.T * weights[0]) @ vectors.conj(), d, 4)
+    return DensityMatrix((vectors.T * weights[0]) @ vectors.conj(), d, n)

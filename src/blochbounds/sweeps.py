@@ -20,9 +20,9 @@ all classes). What the sweep derives from them (marginals,
 reconstructions) is measured by its check and never validated again: a
 derived value that breaks shows as a failing or NaN check value naming
 its sample, not as an input error.
-Separable mixtures are never formed as matrices; their four-party tensor
-is assembled from the members' block tensors (``separable_tensor``), and a
-chunk keeps only its squared norms.
+Separable mixtures are never formed as matrices; their ``T^(1..n)`` is
+assembled from the members' block tensors (``separable_tensor``), and a
+chunk keeps only the squared norms of the four-party classes' tensors.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ def _round_trip_error(ctx):
 
 
 def _separable_tensors(d, labels, seeds, reduce=lambda tensor: tensor):
-    """Flat ``T^(1234)`` of constructed separable mixtures: class -> ``reduce`` of a row per seed.
+    """Flat ``T^(1..n)`` of constructed separable mixtures: class -> ``reduce`` of a row per seed.
 
     The members of all classes in ``labels`` are drawn together and
     validated where they are drawn, once per stack: their weights (the
@@ -349,7 +349,7 @@ def _separable_tensors(d, labels, seeds, reduce=lambda tensor: tensor):
     tensors, so a mixture's tensor is ``sum_s perm_s((A w_s)^T @ B)`` with
     ``A`` the outer product of all blocks but the last, ``B`` the last
     block's tensor and ``w_s`` the weights of the members that picked split
-    ``s``. No ``d^4 x d^4`` matrix is formed. The sum starts as the first
+    ``s``. No ``d^n x d^n`` matrix is formed. The sum starts as the first
     split's product, in party order for every class (``_SPLIT_LAYOUTS``),
     and adds the others in split order: every entry is the same sum as in a
     zero-filled total, but for the sign an exact zero of the first product
@@ -378,7 +378,7 @@ def _separable_tensors(d, labels, seeds, reduce=lambda tensor: tensor):
         total = None
         for split, order in enumerate(orders):
             mixed = (head * picked[split, ..., None]).swapaxes(-1, -2) @ blocks[-1]
-            mixed = mixed.reshape((count,) + (d * d - 1,) * 4).transpose(
+            mixed = mixed.reshape((count,) + (d * d - 1,) * len(order)).transpose(
                 0, *(1 + axis for axis in order)
             )
             if total is None:
@@ -392,15 +392,15 @@ def _separable_tensors(d, labels, seeds, reduce=lambda tensor: tensor):
 
 
 def separable_tensor(d, label, seed) -> BlochTensor:
-    """``T^(1234)`` of ``random_separable(d, label, seed)``, from its member blocks.
+    """``T^(1..n)`` of ``random_separable(d, label, seed)``, n = 2..4, from its member blocks.
 
     The same code the ``separable-*`` sweep checks run on a chunk, at one
     seed and one class: ``tensor_norm_sq(separable_tensor(d, label,
     worst_seed))`` is such a check's ``max_observed``, bit for bit.
     """
-    d, seed = _check_separable(d, label, seed)
+    d, n, seed = _check_separable(d, label, seed)
     row = _separable_tensors(d, (label,), [seed])[label][0]
-    return BlochTensor((1, 2, 3, 4), d, row)
+    return BlochTensor(tuple(range(1, n + 1)), d, row)
 
 
 @dataclass(frozen=True)

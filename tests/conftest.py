@@ -9,7 +9,7 @@ decoding its raw words (``single_separable_members`` is the reference of
 the library's batched member decode), and ``oracle_sample_value``
 evaluates a sweep check on one sample with the public single-state
 functions. ``separable_densities`` is the dense route
-of the separable checks: it forms every mixture as a ``d^4 x d^4`` matrix
+of the separable checks: it forms every mixture as a ``d^n x d^n`` matrix
 from the call-by-call member reads. ``gram_matrix`` and ``validate_basis``
 check a generator basis from its definition. ``MALFORMED_COMPLEX_DOCS``
 holds state documents whose complex entries the parser must refuse, and
@@ -22,7 +22,10 @@ one ``np.tensordot`` per party, the reference the library's gemm pass must
 match bit for bit (``same_bytes``, which tells -0.0 from 0.0).
 ``separable_tensors_by_slice`` is the separable stage by the full extended
 pass: the reference its generator-only block passes and its assembly must
-match bit for bit.
+match bit for bit. ``CLASS_SPLITS`` types out the separability classes of
+two to four parties by hand, the oracle of the library's set-partition
+rule; the separable helpers read their splits from it and take each
+class's party count from its label.
 """
 
 import itertools
@@ -35,7 +38,6 @@ import pytest
 from blochbounds import (
     MIXED_GINIBRE,
     PURE_HAAR,
-    SEPARABLE_SPLITS,
     DensityMatrix,
     Ensemble,
     from_ensemble,
@@ -60,6 +62,48 @@ from blochbounds import (
 from blochbounds.bloch import _coefficients
 from blochbounds.sampling import SEPARABLE_MEMBERS, _SPLIT_LAYOUTS, _separable_draws
 from blochbounds.states import _projectors
+
+
+#: The separability classes of two to four parties, typed out: label -> its splits. The
+#: generated ``SEPARABLE_SPLITS`` must equal the four-party ones in key, split and block
+#: order.
+CLASS_SPLITS = {
+    "1-1": (((1,), (2,)),),
+    "1-2": (
+        ((1,), (2, 3)),
+        ((2,), (1, 3)),
+        ((3,), (1, 2)),
+    ),
+    "1-1-1": (((1,), (2,), (3,)),),
+    "1-3": (
+        ((1,), (2, 3, 4)),
+        ((2,), (1, 3, 4)),
+        ((3,), (1, 2, 4)),
+        ((4,), (1, 2, 3)),
+    ),
+    "2-2": (
+        ((1, 2), (3, 4)),
+        ((1, 3), (2, 4)),
+        ((1, 4), (2, 3)),
+    ),
+    "1-1-2": (
+        ((1,), (2,), (3, 4)),
+        ((1,), (3,), (2, 4)),
+        ((1,), (4,), (2, 3)),
+        ((2,), (3,), (1, 4)),
+        ((2,), (4,), (1, 3)),
+        ((3,), (4,), (1, 2)),
+    ),
+    "1-1-1-1": (((1,), (2,), (3,), (4,)),),
+}
+
+#: The classes of fewer than four parties, which no sweep check draws.
+SMALL_CLASSES = ("1-1", "1-2", "1-1-1")
+
+
+def party_count(label):
+    """The party count of a separability class: the sum of the block sizes in its label."""
+    return sum(int(size) for size in label.split("-"))
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +228,7 @@ def same_bytes(got, expected):
 
 
 def separable_tensors_by_slice(d, labels, seeds):
-    """Class -> the ``(B, (d**2 - 1)**4)`` tensors of ``sweeps._separable_tensors``, the long way.
+    """Class -> the ``(B, (d**2 - 1)**n)`` tensors of ``sweeps._separable_tensors``, the long way.
 
     Each block pass runs over the extended basis and keeps its generator
     slice, and each class's total starts as zeros and takes one add per
@@ -203,7 +247,7 @@ def separable_tensors_by_slice(d, labels, seeds):
         head = blocks[0]
         for block in blocks[1:-1]:
             head = (head[..., :, None] * block[..., None, :]).reshape(count, members, -1)
-        total = np.zeros((count,) + (d * d - 1,) * 4)
+        total = np.zeros((count,) + (d * d - 1,) * party_count(label))
         for split, order in enumerate(_SPLIT_LAYOUTS[label][1]):
             picked = np.where(picks[:, c] == split, weights, 0.0)
             mixed = (head * picked[..., None]).swapaxes(-1, -2) @ blocks[-1]
@@ -278,7 +322,7 @@ def single_ginibre_matrix(d, n, rank, seed):
 
 def single_separable_matrix(d, label, seed, members=8):
     """One separable mixture assembled member by member via ``product_state``/``from_ensemble``."""
-    splits = SEPARABLE_SPLITS[label]
+    splits = CLASS_SPLITS[label]
     rng = _philox(seed)
     cuts = np.sort(rng.random(members - 1))
     weights = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
@@ -303,7 +347,7 @@ def single_separable_members(d, label, seeds, members=8):
     ``(B, members)`` weights and picks and one ``(B, members, d**k)`` array
     of normalized vectors per block, in block order.
     """
-    splits = SEPARABLE_SPLITS[label]
+    splits = CLASS_SPLITS[label]
     lengths = [d ** len(block) for block in splits[0]]
     count = len(seeds)
     cuts = np.empty((count, members - 1))
@@ -332,17 +376,18 @@ def separable_densities(d, label, seeds):
 
     Every member's product vector is built block by block and gathered
     into party order, and the weighted projectors are summed into a
-    ``(B, d^4, d^4)`` stack.
+    ``(B, d^n, d^n)`` stack.
     """
+    n = party_count(label)
     weights, picks, blocks = single_separable_members(d, label, seeds)
     vectors = blocks[0]
     for block in blocks[1:]:
         vectors = (vectors[..., :, None] * block[..., None, :]).reshape(weights.shape + (-1,))
     # per split, the flat block-by-block index of each party-order entry
-    block_index = np.arange(d**4).reshape((d,) * 4)
+    block_index = np.arange(d**n).reshape((d,) * n)
     gathers = np.stack([
         block_index.transpose(np.argsort([p for block in split for p in block])).reshape(-1)
-        for split in SEPARABLE_SPLITS[label]
+        for split in CLASS_SPLITS[label]
     ])
     vectors = np.take_along_axis(vectors, gathers[picks], axis=-1)
     return (vectors.swapaxes(-1, -2) * weights[:, None, :]) @ vectors.conj()

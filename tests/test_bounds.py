@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -237,9 +238,17 @@ def test_each_norm_cap_check_bounds_by_the_cap_of_its_order(d):
             et_upper_bound_via_norm_bound(d, n)
 
 
-def test_unknown_separability_class_is_refused():
-    with pytest.raises(ValueError, match="^unknown separability class '3-1'$"):
-        separability_thresholds(2).for_class("3-1")
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("3-1", "unknown separability class '3-1'"),
+        (["1-3"], "unknown separability class ['1-3']"),
+        ("1-2", "separability class '1-2' has no four-party threshold"),
+    ],
+)
+def test_unknown_separability_class_is_refused(label, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        separability_thresholds(2).for_class(label)
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -20,6 +20,8 @@ from blochbounds import (
 from blochbounds import sampling, states, sweeps
 from blochbounds.sampling import _complex_normals, _ginibre_densities, _haar_amplitudes
 from conftest import (
+    CLASS_SPLITS,
+    party_count,
     separable_densities,
     single_ginibre_matrix,
     single_haar_amplitudes,
@@ -254,41 +256,46 @@ def test_box_muller_moments():
 
 
 def test_separable_splits_partition_all_parties():
-    for label, splits in SEPARABLE_SPLITS.items():
-        sizes = {
-            "1-3": [1, 3],
-            "2-2": [2, 2],
-            "1-1-2": [1, 1, 2],
-            "1-1-1-1": [1, 1, 1, 1],
-        }[label]
-        for split in splits:
-            assert sorted(len(block) for block in split) == sorted(sizes)
+    # the set-partition rule gives the typed-out classes: the same labels, splits, block
+    # order and split order, with the four-party ones public
+    four = {label: splits for label, splits in CLASS_SPLITS.items() if party_count(label) == 4}
+    assert list(SEPARABLE_SPLITS.items()) == list(four.items())
+    assert list(sampling._SPLIT_LAYOUTS) == list(CLASS_SPLITS)
+    for label, splits in CLASS_SPLITS.items():
+        sizes, orders = sampling._SPLIT_LAYOUTS[label]
+        parties = list(range(1, party_count(label) + 1))
+        assert len(orders) == len(splits)
+        for split, order in zip(splits, orders):
             # the batched draw lays out every member's uniforms by the first split's block sizes
-            assert [len(block) for block in split] == [len(block) for block in splits[0]]
-            flat = sorted(p for block in split for p in block)
-            assert flat == [1, 2, 3, 4]
+            assert tuple(len(block) for block in split) == sizes
+            flat = [p for block in split for p in block]
+            assert sorted(flat) == parties
+            assert [flat[axis] for axis in order] == parties
 
 
-@pytest.mark.parametrize("label", sorted(SEPARABLE_SPLITS))
+@pytest.mark.parametrize("label", sorted(CLASS_SPLITS))
 def test_random_separable_is_a_valid_state(label):
     rho = random_separable(2, label, seed=77)
-    assert rho.num_parties == 4
+    assert rho.num_parties == party_count(label)
     assert abs(rho.matrix.trace() - 1.0) < 1e-12
     np.testing.assert_array_equal(rho.matrix, random_separable(2, label, seed=77).matrix)
 
 
-def test_random_separable_rejects_unknown_class():
-    with pytest.raises(ValueError):
-        random_separable(2, "3-1", seed=1)
+@pytest.mark.parametrize("label", ["3-1", ["1-3"]])
+def test_random_separable_rejects_unknown_class(label):
+    with pytest.raises(ValueError, match="unknown separability class"):
+        random_separable(2, label, seed=1)
 
 
-def test_separable_draws_admit_every_four_party_dimension():
-    # the members' block projectors, 16 * 8 * d**6 bytes at most, stay within the dense
-    # cap wherever the four-party state does
-    for d in range(2, 9):
-        assert sampling._check_separable(d, "1-3", 0) == (d, 0)
+@pytest.mark.parametrize("label, largest", [("1-3", 8), ("1-2", 16), ("1-1", 64)])
+def test_separable_draws_admit_every_dimension_of_their_party_count(label, largest):
+    # the members' block projectors, 16 * 8 * d**(2k) bytes for k-party blocks, stay within
+    # the dense cap wherever the class's n-party state does; nothing is allocated here
+    n = party_count(label)
+    for d in range(2, largest + 1):
+        assert sampling._check_separable(d, label, 0) == (d, n, 0)
     with pytest.raises(ValueError, match="above the cap"):
-        sampling._check_separable(9, "1-3", 0)
+        sampling._check_separable(largest + 1, label, 0)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 4), (4, 2)])
@@ -310,7 +317,7 @@ def test_batched_ginibre_draws_are_bit_identical_to_single_draws(d, n, rank):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("label", sorted(SEPARABLE_SPLITS))
+@pytest.mark.parametrize("label", sorted(CLASS_SPLITS))
 def test_batched_separable_mixtures_match_member_by_member_assembly(d, label):
     seeds = [sample_seed(7, i) for i in range(5)]
     batch = separable_densities(d, label, seeds)
@@ -343,8 +350,8 @@ def _assert_members_equal(members_a, members_b):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_separable_members_decode_the_call_by_call_reads(d):
     # the raw-word decode reads what Generator.random/integers read, bit for bit,
-    # for one class alone and for all four classes drawn from one stream read
-    labels = tuple(SEPARABLE_SPLITS)
+    # for one class alone and for the classes of two to four parties drawn from one stream read
+    labels = tuple(CLASS_SPLITS)
     together = sampling._separable_draws(d, labels, SEPARABLE_SEEDS)
     for c, label in enumerate(labels):
         expected = single_separable_members(d, label, SEPARABLE_SEEDS)
@@ -357,7 +364,7 @@ def test_separable_members_decode_the_call_by_call_reads(d):
 def test_rejected_picks_are_read_again_call_by_call(monkeypatch, d):
     # a pick that Lemire's rule rejects shifts the rest of its class's stream; force
     # every (seed, class) that reads picks onto the call-by-call re-read and get the
-    # same arrays. The one-split class reads no pick, so nothing of it is read again.
+    # same arrays. The one-split classes read no pick, so nothing of them is read again.
     lemire_picks, read_members = sampling._lemire_picks, sampling._read_members
     reads = []
 
@@ -371,9 +378,9 @@ def test_rejected_picks_are_read_again_call_by_call(monkeypatch, d):
 
     monkeypatch.setattr(sampling, "_lemire_picks", rejecting)
     monkeypatch.setattr(sampling, "_read_members", reading)
-    labels = tuple(SEPARABLE_SPLITS)
+    labels = tuple(CLASS_SPLITS)
     draws = sampling._separable_draws(d, labels, SEPARABLE_SEEDS)
-    picking = [label for label in labels if len(SEPARABLE_SPLITS[label]) > 1]
+    picking = [label for label in labels if len(CLASS_SPLITS[label]) > 1]
     assert sorted(reads) == sorted((label, seed) for label in picking for seed in SEPARABLE_SEEDS)
     for c, label in enumerate(labels):
         _assert_members_equal(
@@ -383,10 +390,10 @@ def test_rejected_picks_are_read_again_call_by_call(monkeypatch, d):
 
 def test_lemire_rejects_exactly_below_its_threshold():
     # numpy redraws a half h when the low 32 bits of h * k fall below (2**32 - k) % k:
-    # the classes' 4, 3, 6 and 1 splits have thresholds 0, 1, 4 and 0
+    # the classes' 4, 3, 6, 1 and 3 splits have thresholds 0, 1, 4, 0 and 1
     halves = np.array([0, 1, 2**32 - 1, 715827882, 715827883], dtype=np.uint64)
-    for label, threshold in (("1-3", 0), ("2-2", 1), ("1-1-2", 4), ("1-1-1-1", 0)):
-        splits = len(SEPARABLE_SPLITS[label])
+    for label, threshold in (("1-3", 0), ("2-2", 1), ("1-1-2", 4), ("1-1-1-1", 0), ("1-2", 1)):
+        splits = len(CLASS_SPLITS[label])
         picks, rejected = sampling._lemire_picks(halves, splits)
         scaled = [int(h) * splits for h in halves]
         assert picks.tolist() == [value >> 32 for value in scaled]

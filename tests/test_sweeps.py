@@ -16,17 +16,23 @@ from blochbounds import (
     available_checks,
     bloch_tensor,
     from_pure,
+    ghz,
     haar_random_pure,
+    product_state,
     random_separable,
     run_sweep,
     sample_seed,
     separable_tensor,
     tensor_norm_sq,
 )
+from blochbounds.bounds import _NORM_CAPS
 from blochbounds.cli import main
 from conftest import (
+    CLASS_SPLITS,
+    SMALL_CLASSES,
     oracle_check_value,
     oracle_sample_value,
+    party_count,
     same_bytes,
     separable_densities,
     separable_tensors_by_slice,
@@ -281,7 +287,40 @@ def test_draw_accepts_the_last_swept_index():
     np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
+#: Every default check list, by party count: the checks of a pure sweep, then those of a
+#: mixed one. ``bench/run.py`` reads the four-party separable checks in this order.
+DEFAULT_CHECKS = {
+    1: (
+        ["ball-radius", "purity-identity", "reconstruction-round-trip"],
+        ["ball-radius", "purity-identity", "reconstruction-round-trip"],
+    ),
+    2: (
+        ["ball-radius", "bipartite-norm-bound", "purity-identity", "reconstruction-round-trip"],
+        ["ball-radius", "bipartite-norm-bound", "purity-identity", "reconstruction-round-trip"],
+    ),
+    3: (
+        ["ball-radius", "bipartite-norm-bound", "tripartite-norm-bound", "purity-identity",
+         "marginal-purity", "pure-pair-sum-rule", "reconstruction-round-trip"],
+        ["ball-radius", "bipartite-norm-bound", "tripartite-norm-bound", "purity-identity",
+         "reconstruction-round-trip"],
+    ),
+    4: (
+        ["ball-radius", "bipartite-norm-bound", "tripartite-norm-bound",
+         "fourpartite-norm-bound", "triple-norm-tradeoff", "purity-identity",
+         "marginal-purity", "pure-triple-sum-rule", "reconstruction-round-trip",
+         "separable-1-3", "separable-2-2", "separable-1-1-2", "separable-1-1-1-1"],
+        ["ball-radius", "bipartite-norm-bound", "tripartite-norm-bound",
+         "fourpartite-norm-bound", "triple-norm-tradeoff", "purity-identity",
+         "reconstruction-round-trip",
+         "separable-1-3", "separable-2-2", "separable-1-1-2", "separable-1-1-1-1"],
+    ),
+}
+
+
 def test_available_checks_filtering():
+    for n, lists in DEFAULT_CHECKS.items():
+        for kind, expected in zip((PURE_HAAR, MIXED_GINIBRE), lists):
+            assert available_checks(SampleSpec(2, n, kind)) == expected
     pure3 = available_checks(SampleSpec(2, 3, PURE_HAAR, 10, 0))
     mixed3 = available_checks(SampleSpec(2, 3, MIXED_GINIBRE, 10, 0))
     assert "marginal-purity" in pure3 and "pure-pair-sum-rule" in pure3
@@ -480,19 +519,51 @@ def test_round_trip_check_uses_tighter_tolerance():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("label", sorted(SEPARABLE_SPLITS))
+@pytest.mark.parametrize("label", sorted(CLASS_SPLITS))
 def test_separable_tensor_matches_the_dense_mixture(d, label):
-    # the block route against the d^4 x d^4 mixtures of the same draw, contracted densely:
+    # the block route against the d^n x d^n mixtures of the same draw, contracted densely:
     # the conftest oracle and the public draw
     seeds = [sample_seed(8, i) for i in range(3)]
     dense = separable_densities(d, label, seeds)
+    n = party_count(label)
+    parties = tuple(range(1, n + 1))
     for mat, seed in zip(dense, seeds):
         tensor = separable_tensor(d, label, seed)
-        assert tensor.subset == (1, 2, 3, 4) and tensor.local_dim == d
+        assert tensor.subset == parties and tensor.local_dim == d
         scale = np.abs(tensor.coefficients).max()
-        for rho in (DensityMatrix(mat, d, 4), random_separable(d, label, seed)):
-            reference = bloch_tensor(rho, (1, 2, 3, 4)).coefficients
+        for rho in (DensityMatrix(mat, d, n), random_separable(d, label, seed)):
+            reference = bloch_tensor(rho, parties).coefficients
             assert np.abs(tensor.coefficients - reference).max() <= 1e-13 * scale
+
+
+def _product_cap(d, label):
+    """The product rule's cap on ``T^(1..n)`` of a class: the k-party caps of its blocks, multiplied."""
+    return math.prod(_NORM_CAPS[int(size)](d) for size in label.split("-"))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("label", SMALL_CLASSES)
+def test_separable_draws_obey_the_product_rule(d, label):
+    # a product across blocks has the tensor product of their tensors, and the norm is convex
+    cap = _product_cap(d, label)
+    for seed in range(40):
+        assert tensor_norm_sq(separable_tensor(d, label, seed)) <= cap
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_product_rule_is_attained(d):
+    # pure products attain it: one-party pure states on every party, and a one-party
+    # pure state beside a maximally entangled pair
+    ones = [haar_random_pure(d, 1, seed).amplitudes for seed in range(4)]
+    cases = {
+        label: product_state([((p,), ones[p - 1]) for p in range(1, party_count(label) + 1)], d)
+        for label in ("1-1", "1-1-1", "1-1-1-1")
+    }
+    cases["1-2"] = product_state([((1,), ones[0]), ((2, 3), ghz(d, 2).amplitudes)], d)
+    for label, state in cases.items():
+        parties = tuple(range(1, party_count(label) + 1))
+        value = tensor_norm_sq(bloch_tensor(from_pure(state), parties))
+        assert abs(value - _product_cap(d, label)) <= 1e-12 * _product_cap(d, label)
 
 
 def test_separable_tensor_is_the_batched_row():
@@ -506,7 +577,10 @@ def test_separable_tensor_is_the_batched_row():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "sweep"])
-@pytest.mark.parametrize("labels", [tuple(SEPARABLE_SPLITS)] + [(label,) for label in SEPARABLE_SPLITS])
+@pytest.mark.parametrize(
+    "labels",
+    [tuple(SEPARABLE_SPLITS)] + [(label,) for label in (*SEPARABLE_SPLITS, *SMALL_CLASSES)],
+)
 def test_separable_stage_matches_the_full_pass_route_bit_for_bit(d, chunk, labels):
     # generator-only block passes and totals that start from the first split give the
     # bytes of full passes sliced and zero-filled totals: the same sums, in the same order;
@@ -527,6 +601,7 @@ def test_separable_stage_matches_the_full_pass_route_bit_for_bit(d, chunk, label
     "args, match",
     [
         ((2, "3-1", 0), "unknown separability class"),
+        ((2, {}, 0), "unknown separability class"),
         ((2, "1-3", 2**64), "must be an integer in 0.."),
         ((2, "1-3", 2.5), "seed must be an integer, got 2.5"),
         ((2, "1-3", -1), "seed must be an integer"),
