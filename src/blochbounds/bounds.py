@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bloch import _subset_norms, _sums_by_order, bloch_tensor, full_decomposition, tensor_norm_sq
-from .sampling import _SPLIT_LAYOUTS
 from .states import DensityMatrix, PureState, _check_local_dim, _check_tol, from_pure
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "triple_sum_bound",
     "BoundTable",
     "bound_table",
-    "SeparabilityThresholds",
     "separability_thresholds",
     "ClassificationReport",
     "classify",
@@ -43,9 +41,6 @@ __all__ = [
 ]
 
 COMPARISON_TOL = 1e-9
-
-#: Separability class labels in ascending threshold order.
-CLASS_LABELS = ("1-1-1-1", "1-1-2", "1-3", "2-2")
 
 NECESSARY_ONLY_NOTE = (
     "Norm thresholds are necessary conditions only: exceeding a class bound "
@@ -113,6 +108,28 @@ _NORM_CAPS = {
 }
 
 
+#: Four-party separability class -> the closed form of its cap on the four-party squared
+#: norm, in ascending-cap order. Each cap is the largest, over the class's splits, of the
+#: product of the block caps ``_NORM_CAPS[|B|]``; the closed forms differ from those
+#: products in the last bits. The 2-2 cap is the unconditional four-party cap itself.
+_CLASS_CAPS = {
+    "1-1-1-1": lambda d: 16.0 / d**4 * (d - 1) ** 4,
+    "1-1-2": lambda d: 16.0 / d**4 * (d * d - 1) * (d - 1) ** 2,
+    "1-3": lambda d: 16.0 / d**4 * (d - 1) * (d**3 - 3 * d + 2),
+    "2-2": fourpartite_norm_bound,
+}
+
+#: Separability class labels in ascending threshold order.
+CLASS_LABELS = tuple(_CLASS_CAPS)
+
+
+@_closed_form
+def separability_thresholds(d) -> dict:
+    """Class label -> cap on the four-party squared norm of the class's separable states,
+    in ``CLASS_LABELS`` order."""
+    return {label: cap(d) for label, cap in _CLASS_CAPS.items()}
+
+
 @_closed_form
 def triple_sum_bound(d) -> float:
     """Joint cap on the four three-party squared norms of a four-party state.
@@ -154,49 +171,10 @@ def bound_table(d) -> BoundTable:
 
 
 @dataclass(frozen=True)
-class SeparabilityThresholds:
-    """Per-class caps on the four-party squared norm for separable states.
-
-    ``t13``, ``t22``, ``t112`` and ``t1111`` bound the 1-3, 2-2, 1-1-2 and
-    1-1-1-1 separable classes; they nest as t1111 <= t112 <= t13 <= t22.
-    """
-
-    local_dim: int
-    t13: float
-    t22: float
-    t112: float
-    t1111: float
-
-    def as_dict(self) -> dict:
-        """Class label -> threshold, in ``CLASS_LABELS`` order."""
-        return dict(zip(CLASS_LABELS, (self.t1111, self.t112, self.t13, self.t22)))
-
-    def for_class(self, label: str) -> float:
-        if not isinstance(label, str) or label not in _SPLIT_LAYOUTS:
-            raise ValueError(f"unknown separability class {label!r}")
-        if label not in CLASS_LABELS:
-            raise ValueError(f"separability class {label!r} has no four-party threshold")
-        return self.as_dict()[label]
-
-
-@_closed_form
-def separability_thresholds(d) -> SeparabilityThresholds:
-    scale = 16.0 / d**4
-    return SeparabilityThresholds(
-        local_dim=d,
-        t13=scale * (d - 1) * (d**3 - 3 * d + 2),
-        # the 2-2 cap coincides with the unconditional four-party bound;
-        # evaluate it identically so the equality is exact
-        t22=fourpartite_norm_bound(d),
-        t112=scale * (d * d - 1) * (d - 1) ** 2,
-        t1111=scale * (d - 1) ** 4,
-    )
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     """Outcome of the four-party norm classification.
 
+    ``thresholds`` is ``separability_thresholds(d)``, class label -> cap.
     ``margins`` holds the unclipped difference norm - threshold per class,
     in ``CLASS_LABELS`` order; ``excluded`` contains exactly the classes
     whose margin exceeds the comparison tolerance.
@@ -204,7 +182,7 @@ class ClassificationReport:
 
     local_dim: int
     norm_sq_1234: float
-    thresholds: SeparabilityThresholds
+    thresholds: dict
     margins: dict
     excluded: frozenset
     verdict_note: str = field(default=NECESSARY_ONLY_NOTE)
@@ -215,8 +193,8 @@ def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationR
 
     Raises ValueError unless ``rho`` has exactly four parties and ``tol`` is
     positive and finite. Nothing is ever reported as separable; see ``NECESSARY_ONLY_NOTE``.
-    Nor is 2-2 ever excluded: its threshold ``t22`` is the unconditional
-    four-party cap ``fourpartite_norm_bound(d)``, which no state's norm exceeds.
+    Nor is 2-2 ever excluded: its threshold is the unconditional four-party cap
+    ``fourpartite_norm_bound(d)``, which no state's norm exceeds.
     """
     if rho.num_parties != 4:
         raise ValueError(
@@ -225,7 +203,7 @@ def classify(rho: DensityMatrix, tol: float = COMPARISON_TOL) -> ClassificationR
     tol = _check_tol(tol)
     norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
     thresholds = separability_thresholds(rho.local_dim)
-    margins = {label: norm_sq - cap for label, cap in thresholds.as_dict().items()}
+    margins = {label: norm_sq - cap for label, cap in thresholds.items()}
     excluded = frozenset(label for label, margin in margins.items() if margin > tol)
     return ClassificationReport(rho.local_dim, norm_sq, thresholds, margins, excluded)
 

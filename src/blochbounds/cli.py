@@ -236,7 +236,7 @@ def _cmd_bounds(args):
         "fourpartite": table.fourpartite_bound,
         "tradeoff": table.tradeoff_bound,
         "ball_radii": {"inner": inner, "outer": outer},
-        "separability_thresholds": separability_thresholds(args.d).as_dict(),
+        "separability_thresholds": separability_thresholds(args.d),
         "measure_upper_bounds": {str(n): audit[n] for n in sorted(audit)},
     }, 0
 
@@ -247,7 +247,7 @@ def _cmd_classify(args):
     return {
         "d": report.local_dim,
         "norm_sq_1234": report.norm_sq_1234,
-        "thresholds": report.thresholds.as_dict(),
+        "thresholds": report.thresholds,
         "margins": report.margins,
         "excluded": [label for label in report.margins if label in report.excluded],
         "note": report.verdict_note,

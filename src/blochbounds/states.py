@@ -120,6 +120,7 @@ def _check_dims(local_dim, num_parties):
     return d, n
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_amplitudes(amps):
     """Refuse a (B, dim) stack of state vectors unless every row is finite and normalized.
 
@@ -127,7 +128,8 @@ def _check_amplitudes(amps):
     1 within ``DEFAULT_ATOL``, the rule ``as_pure`` holds a matrix to. Since
     ``|n^4 - 1| >= |n^2 - 1| >= |n - 1|``, the projector's trace and the norm are
     then 1 within it too, as ``_check_densities`` requires. Whether the norm
-    itself misses 1 only chooses the wording of the refusal.
+    itself misses 1 only chooses the wording of the refusal. A finite row whose
+    norm overflows is refused by the same comparison, without a numpy warning.
     """
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite values (NaN or infinity)")
@@ -169,6 +171,7 @@ def _purities(mats):
     return np.einsum("bij,bji->b", mats, mats).real
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_densities(mats):
     """Validate a (B, dim, dim) stack of density matrices.
 
@@ -182,6 +185,8 @@ def _check_densities(mats):
     ``-atol``. Only when it fails are the eigenvalues computed, and a matrix
     is refused when its smallest eigenvalue lies below ``-atol``. The stack's
     adjoint is formed once, C-contiguous, and H + atol*I is built in its buffer.
+    Finite entries whose sums or products overflow are refused by the comparisons
+    that follow, without a numpy warning.
     """
     dim = mats.shape[-1]
     if not np.isfinite(mats).all():
@@ -192,7 +197,7 @@ def _check_densities(mats):
     if bad.any():
         raise ValueError(f"matrix deviates from Hermitian by {herm_dev[bad.argmax()]:.3e}")
     traces = np.trace(mats, axis1=-2, axis2=-1)
-    bad = np.abs(traces - 1.0) > DEFAULT_ATOL
+    bad = ~(np.abs(traces - 1.0) <= DEFAULT_ATOL)  # a NaN trace (inf - inf) is refused too
     if bad.any():
         raise ValueError(f"trace {complex(traces[bad.argmax()])!r} is not 1 within {DEFAULT_ATOL}")
     # the gate holds the matrices, the adjoint's buffer and the factor

@@ -486,9 +486,7 @@ _CHECKS = (
             False,
             BOUND_TOL,
             evaluate=lambda ctx, label=label: ctx.separable[label],
-            bound=lambda spec, label=label: (
-                separability_thresholds(spec.local_dim).for_class(label)
-            ),
+            bound=lambda spec, label=label: separability_thresholds(spec.local_dim)[label],
             separable=label,
         )
         for label in SEPARABLE_SPLITS

@@ -1,5 +1,4 @@
 import math
-import re
 from functools import partial
 
 import numpy as np
@@ -34,9 +33,11 @@ from blochbounds import (
     triple_sum_bound,
     DensityMatrix,
     PureState,
+    SEPARABLE_SPLITS,
     SampleSpec,
 )
 from blochbounds import sweeps
+from blochbounds.bounds import _NORM_CAPS
 from conftest import ghz_norm_sq, single_separable_matrix
 
 
@@ -72,18 +73,19 @@ def test_bound_table_entries_positive(d):
 
 @pytest.mark.parametrize("d", range(2, 11))
 def test_fourpartite_bound_equals_22_threshold(d):
-    assert bound_table(d).fourpartite_bound == separability_thresholds(d).t22
+    assert bound_table(d).fourpartite_bound == separability_thresholds(d)["2-2"]
 
 
 def test_thresholds_d2():
     t = separability_thresholds(2)
-    assert (t.t13, t.t22, t.t112, t.t1111) == (4.0, 9.0, 3.0, 1.0)
+    assert list(t.items()) == [("1-1-1-1", 1.0), ("1-1-2", 3.0), ("1-3", 4.0), ("2-2", 9.0)]
 
 
 @pytest.mark.parametrize("d", range(2, 11))
 def test_threshold_nesting(d):
     t = separability_thresholds(d)
-    assert t.t1111 <= t.t112 <= t.t13 <= t.t22
+    assert tuple(t) == CLASS_LABELS
+    assert t["1-1-1-1"] <= t["1-1-2"] <= t["1-3"] <= t["2-2"]
 
 
 def test_thresholds_approach_sixteen_from_below():
@@ -91,19 +93,20 @@ def test_thresholds_approach_sixteen_from_below():
     for d in (100, 10_000, 1_000_000):
         current = separability_thresholds(d)
         for label in CLASS_LABELS:
-            assert previous.as_dict()[label] < current.as_dict()[label] < 16.0
+            assert previous[label] < current[label] < 16.0
         previous = current
 
 
-@pytest.mark.parametrize("d", range(2, 9))
-def test_thresholds_factor_into_marginal_maxima(d):
-    t = separability_thresholds(d)
-    single_max = 2.0 * (d - 1) / d  # squared outer Bloch radius
-    pair_max = bipartite_norm_bound(d)
-    assert abs(t.t13 - single_max * tripartite_norm_bound(d)) < 1e-12
-    assert abs(t.t22 - pair_max**2) < 1e-12
-    assert abs(t.t112 - single_max**2 * pair_max) < 1e-12
-    assert abs(t.t1111 - single_max**4) < 1e-12
+@pytest.mark.parametrize("label", SEPARABLE_SPLITS)
+def test_thresholds_are_the_product_rule_in_closed_form(label):
+    # each class cap is the largest, over the class's splits, of its block caps' product;
+    # the closed forms differ from the products in the last bits only: the largest relative
+    # gap over these d is 4.2e-16
+    assert set(CLASS_LABELS) == set(SEPARABLE_SPLITS)
+    splits = SEPARABLE_SPLITS[label]
+    for d in (*range(2, 200), 10**3, 10**4, 10**5, 10**6):
+        product = max(math.prod(_NORM_CAPS[len(block)](d) for block in split) for split in splits)
+        assert abs(separability_thresholds(d)[label] - product) <= 4 * 2.0**-52 * product, d
 
 
 @pytest.mark.parametrize("d", range(2, 51))
@@ -148,9 +151,8 @@ def test_classify_noisy_ghz_history():
 
 def test_classify_margins_are_unclipped():
     report = classify(isotropic_ghz4(0.3, 2))
-    thresholds = report.thresholds.as_dict()
     for label in CLASS_LABELS:
-        assert report.margins[label] == report.norm_sq_1234 - thresholds[label]
+        assert report.margins[label] == report.norm_sq_1234 - report.thresholds[label]
         assert report.margins[label] < 0
 
 
@@ -236,19 +238,6 @@ def test_each_norm_cap_check_bounds_by_the_cap_of_its_order(d):
         message = rf"^the measure bound is defined for n in \(3, 4\), got {n}$"
         with pytest.raises(ValueError, match=message):
             et_upper_bound_via_norm_bound(d, n)
-
-
-@pytest.mark.parametrize(
-    "label, message",
-    [
-        ("3-1", "unknown separability class '3-1'"),
-        (["1-3"], "unknown separability class ['1-3']"),
-        ("1-2", "separability class '1-2' has no four-party threshold"),
-    ],
-)
-def test_unknown_separability_class_is_refused(label, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        separability_thresholds(2).for_class(label)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -432,7 +421,7 @@ def test_tradeoff_on_haar_samples():
 
 @pytest.mark.parametrize("label", CLASS_LABELS)
 def test_separable_samples_respect_their_threshold(label):
-    threshold = separability_thresholds(2).for_class(label)
+    threshold = separability_thresholds(2)[label]
     for seed in range(25):
         rho = random_separable(2, label, seed=1000 + seed)
         norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))
@@ -442,7 +431,7 @@ def test_separable_samples_respect_their_threshold(label):
 @pytest.mark.parametrize("label", CLASS_LABELS)
 def test_pure_products_respect_their_threshold(label):
     # single-member mixtures are pure product states of the class
-    threshold = separability_thresholds(2).for_class(label)
+    threshold = separability_thresholds(2)[label]
     for seed in range(25):
         rho = DensityMatrix(single_separable_matrix(2, label, 1300 + seed, members=1), 2, 4)
         norm_sq = tensor_norm_sq(bloch_tensor(rho, (1, 2, 3, 4)))

@@ -663,9 +663,30 @@ def test_nan_amplitude_state_file_exits_two(capsys, tmp_path):
             {"d": 2, "parties": 1, "kind": "matrix", "matrix": [[[1.5, 0], [0, 0]], [[0, 0]] * 2]},
             "trace (1.5+0j) is not 1 within 1e-09",
         ),
+        # finite entries whose norm, trace or Hermitian deviation overflows: one error line,
+        # no numpy warning
+        (
+            {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[1e200, 0], [0, 0]]},
+            "state vector norm inf is not 1 within 1e-09",
+        ),
+        (
+            {
+                "d": 2, "parties": 1, "kind": "matrix",
+                "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]],
+            },
+            "trace (inf+0j) is not 1 within 1e-09",
+        ),
+        (
+            {
+                "d": 2, "parties": 1, "kind": "matrix",
+                "matrix": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]],
+            },
+            "matrix deviates from Hermitian by inf",
+        ),
     ],
-    ids=["vector-norm", "trace"],
+    ids=["vector-norm", "trace", "vector-norm-overflow", "trace-overflow", "hermitian-overflow"],
 )
+@pytest.mark.filterwarnings("error")
 def test_state_file_refusals_print_python_scalars(capsys, tmp_path, doc, message):
     path = _state_file(tmp_path, json.dumps(doc))
     code, out, err = run_cli(capsys, "decompose", "--state", path)

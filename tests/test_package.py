@@ -22,6 +22,10 @@ EARLIER_EXPORTS = """
     tripartite_norm_bound triple_sum_bound
 """.split()
 
+#: Earlier public names since removed: the per-class caps became ``separability_thresholds(d)``,
+#: a plain dict keyed by class label.
+REMOVED_EXPORTS = ["SeparabilityThresholds"]
+
 
 def test_package_exports_the_union_of_module_exports():
     modules = (basis, bloch, bounds, sampling, serialize, states, sweeps)
@@ -32,7 +36,7 @@ def test_package_exports_the_union_of_module_exports():
         for name in module.__all__:
             assert getattr(blochbounds, name) is getattr(module, name)
     assert len(EARLIER_EXPORTS) == 61
-    assert set(EARLIER_EXPORTS) <= set(blochbounds.__all__)
+    assert set(EARLIER_EXPORTS) - set(blochbounds.__all__) == set(REMOVED_EXPORTS)
     assert isinstance(blochbounds.__version__, str)
 
 

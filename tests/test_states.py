@@ -335,6 +335,17 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, 2, 1)  # wrong shape for (d, n)
 
 
+def _overflowing_trace():
+    """A 16 x 16 diagonal of +-1e308 pairs and its trace: inf, or NaN where numpy sums pairwise."""
+    mat = np.zeros((16, 16), dtype=complex)
+    mat[[0, 8, 1, 9], [0, 8, 1, 9]] = [1e308, 1e308, -1e308, -1e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mat, complex(np.trace(mat))
+
+
+_TRACE_OVERFLOW, _OVERFLOWED_TRACE = _overflowing_trace()
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -369,6 +380,17 @@ def test_density_matrix_validation():
             lambda: product_state([((1,), [1, 0, 0]), ((2,), [1, 0])], 2),
             "factor on parties (1,) has 3 amplitudes, expected 2",
         ),
+        # finite entries whose norm, trace or Hermitian deviation overflows: no numpy warning
+        (lambda: PureState([1e200, 0], 2, 1), "state vector norm inf is not 1 within 1e-09"),
+        (lambda: DensityMatrix(np.diag([1e308, 1e308]), 2, 1), "trace (inf+0j) is not 1 within 1e-09"),
+        (
+            lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]], 2, 1),
+            "matrix deviates from Hermitian by inf",
+        ),
+        (
+            lambda: DensityMatrix(_TRACE_OVERFLOW, 2, 4),
+            f"trace {_OVERFLOWED_TRACE!r} is not 1 within 1e-09",
+        ),
     ],
     ids=[
         "purity-above-one",
@@ -380,8 +402,13 @@ def test_density_matrix_validation():
         "empty-ensemble",
         "non-state-member",
         "factor-length",
+        "vector-norm-overflow",
+        "trace-overflow",
+        "hermitian-overflow",
+        "trace-of-opposite-infinities",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_constructors_refuse_with_their_message(make, message):
     with pytest.raises(ValueError) as refused:
         make()

@@ -10,7 +10,6 @@ import hashlib
 from blochbounds import (
     MIXED_GINIBRE,
     PURE_HAAR,
-    SEPARABLE_SPLITS,
     SampleSpec,
     full_decomposition,
     haar_random_pure,
@@ -19,6 +18,7 @@ from blochbounds import (
     random_separable,
     separable_tensor,
 )
+from blochbounds.sampling import _SPLIT_LAYOUTS
 
 SEEDS = (0, 1, 12345, 2**64 - 1)
 
@@ -34,7 +34,7 @@ def cases(d):
                 rho = SampleSpec(d, n, kind, 2, seed).draw(1)
                 yield "SampleSpec.draw", rho.matrix
                 yield "full_decomposition", full_decomposition(rho).coefficients
-        for label in SEPARABLE_SPLITS:
+        for label in _SPLIT_LAYOUTS:  # every separability class of 2..4 parties
             yield "random_separable", random_separable(d, label, seed).matrix
             yield "separable_tensor", separable_tensor(d, label, seed).coefficients
 
