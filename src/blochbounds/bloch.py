@@ -40,9 +40,18 @@ __all__ = [
 ]
 
 
+def _check_finite(coeffs):
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficients contain non-finite values (NaN or infinity)")
+
+
 @dataclass
 class BlochTensor:
-    """Flat real coefficient array for one party subset, given in ascending order."""
+    """Flat real coefficient array for one party subset, given in ascending order.
+
+    Construction copies the array it is given and checks the subset, the
+    length and that every entry is finite.
+    """
 
     subset: tuple
     local_dim: int
@@ -61,6 +70,7 @@ class BlochTensor:
                 f"expected {m ** len(self.subset)} coefficients for subset "
                 f"{self.subset} at d={self.local_dim}, got {coeffs.size}"
             )
+        _check_finite(coeffs)
         coeffs.setflags(write=False)
         self.coefficients = coeffs
 
@@ -93,8 +103,7 @@ class BlochDecomposition:
         coeffs = np.asarray(self.coefficients).astype(float, casting="safe")
         if coeffs.shape != (d * d,) * n:
             raise ValueError(f"expected coefficients of shape {(d * d,) * n}, got {coeffs.shape}")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("coefficients contain non-finite values (NaN or infinity)")
+        _check_finite(coeffs)
         coeffs.setflags(write=False)
         self.local_dim, self.num_parties, self.coefficients = d, n, coeffs
 

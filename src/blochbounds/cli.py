@@ -38,7 +38,6 @@ from .bounds import (
 from .serialize import BUILTIN_NAMES, _dump_matrix, _encode_complex, as_density, state_from_json
 from .states import _check_pure, purity
 from .sweeps import (
-    BOUND_TOL,
     MIXED_GINIBRE,
     PURE_HAAR,
     ROUND_TRIP_TOL,
@@ -126,7 +125,7 @@ def _build_parser():
         help="comma-separated check names (default: all applicable); "
         f"known: {','.join(available_checks())}",
     )
-    _tol_argument(verify, f"{BOUND_TOL}, {ROUND_TRIP_TOL} for reconstruction-round-trip")
+    _tol_argument(verify, f"{COMPARISON_TOL}, {ROUND_TRIP_TOL} for reconstruction-round-trip")
     verify.add_argument(
         "--timings",
         action="store_true",

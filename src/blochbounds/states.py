@@ -207,10 +207,10 @@ def _check_densities(mats):
     shifted.reshape(len(shifted), dim * dim)[:, :: dim + 1] += DEFAULT_ATOL
     try:
         np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:  # rare: H again, unshifted
-        herm = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    except np.linalg.LinAlgError:  # rare: H again, unshifted, halved first so it cannot overflow
+        herm = 0.5 * mats + 0.5 * mats.conj().swapaxes(-1, -2)
         smallest = np.linalg.eigvalsh(herm)[:, 0]
-        bad = smallest < -DEFAULT_ATOL
+        bad = ~(smallest >= -DEFAULT_ATOL)  # a NaN eigenvalue is refused too
         if bad.any():
             raise ValueError(
                 "matrix is not positive semidefinite: smallest eigenvalue "

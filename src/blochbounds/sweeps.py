@@ -12,6 +12,11 @@ from their own seeds, so a report is the same bytes for a fixed spec
 whatever the chunking and the order the checks run in. A NaN observation
 makes its check's maximum NaN, and a NaN maximum fails the check.
 
+A check states its name, the party counts it applies to, its evaluation
+and, unless it is zero, its bound. It compares within
+``bounds.COMPARISON_TOL``, the tolerance ``classify`` excludes by, unless
+it says otherwise (``reconstruction-round-trip``: ``ROUND_TRIP_TOL``).
+
 A chunk validates what it draws, once, where it draws it: the amplitude
 rows of pure samples, the matrices of mixed ones, and the
 ``SEPARABLE_MEMBERS`` members of each ``separable-*`` class's mixtures
@@ -46,7 +51,7 @@ from .bloch import (
     _sums_by_order,
     _triple_rule_residual,
 )
-from .bounds import _NORM_CAPS, separability_thresholds, triple_sum_bound
+from .bounds import COMPARISON_TOL, _NORM_CAPS, separability_thresholds, triple_sum_bound
 from .sampling import (
     SEPARABLE_MEMBERS,
     SEPARABLE_SPLITS,
@@ -60,6 +65,7 @@ from .sampling import (
     _separable_draws,
 )
 from .states import (
+    MAX_PARTIES,
     DensityMatrix,
     _check_amplitudes,
     _check_densities,
@@ -76,7 +82,6 @@ from .states import (
 __all__ = [
     "PURE_HAAR",
     "MIXED_GINIBRE",
-    "BOUND_TOL",
     "ROUND_TRIP_TOL",
     "CHUNK_BYTES",
     "SampleSpec",
@@ -90,7 +95,6 @@ __all__ = [
 PURE_HAAR = "pure-haar"
 MIXED_GINIBRE = "mixed-ginibre"
 
-BOUND_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-10
 
 #: Bytes a sweep chunk may peak at (``tracemalloc``), so the memory a sweep
@@ -406,11 +410,11 @@ def separable_tensor(d, label, seed) -> BlochTensor:
 @dataclass(frozen=True)
 class _Check:
     name: str
-    arities: tuple
-    pure_only: bool
-    tol: float
+    arities: tuple  # the party counts it applies to
     evaluate: object  # chunk -> observed value per sample
-    bound: object  # spec -> bound the value must stay below
+    bound: object = lambda spec: 0.0  # spec -> bound the value must stay below
+    tol: float = COMPARISON_TOL  # margin allowed above the bound
+    pure_only: bool = False  # applies to pure-haar samples only
     separable: str | None = None  # the class whose mixtures the check draws, if any
 
 
@@ -418,11 +422,9 @@ _CHECKS = (
     *(
         _Check(
             name,
-            tuple(range(k, 5)),
-            False,
-            BOUND_TOL,
-            evaluate=lambda ctx, k=k: _max_order_norm(ctx, k),
-            bound=lambda spec, k=k: _NORM_CAPS[k](spec.local_dim),
+            tuple(range(k, MAX_PARTIES + 1)),
+            lambda ctx, k=k: _max_order_norm(ctx, k),
+            lambda spec, k=k: _NORM_CAPS[k](spec.local_dim),
         )
         for k, name in zip(
             _NORM_CAPS,
@@ -434,59 +436,30 @@ _CHECKS = (
     _Check(
         "triple-norm-tradeoff",
         (4,),
-        False,
-        BOUND_TOL,
-        evaluate=lambda ctx: ctx.order_sums[3],
-        bound=lambda spec: triple_sum_bound(spec.local_dim),
+        lambda ctx: ctx.order_sums[3],
+        lambda spec: triple_sum_bound(spec.local_dim),
     ),
-    _Check(
-        "purity-identity",
-        (1, 2, 3, 4),
-        False,
-        BOUND_TOL,
-        evaluate=_purity_gap,
-        bound=lambda spec: 0.0,
-    ),
-    _Check(
-        "marginal-purity",
-        (3, 4),
-        True,
-        BOUND_TOL,
-        evaluate=_marginal_purity_gap,
-        bound=lambda spec: 0.0,
-    ),
+    _Check("purity-identity", (1, 2, 3, 4), _purity_gap),
+    _Check("marginal-purity", (3, 4), _marginal_purity_gap, pure_only=True),
     _Check(
         "pure-pair-sum-rule",
         (3,),
-        True,
-        BOUND_TOL,
-        evaluate=lambda ctx: np.abs(_pair_rule_residual(ctx.spec.local_dim, ctx.order_sums)),
-        bound=lambda spec: 0.0,
+        lambda ctx: np.abs(_pair_rule_residual(ctx.spec.local_dim, ctx.order_sums)),
+        pure_only=True,
     ),
     _Check(
         "pure-triple-sum-rule",
         (4,),
-        True,
-        BOUND_TOL,
-        evaluate=lambda ctx: np.abs(_triple_rule_residual(ctx.spec.local_dim, ctx.order_sums)),
-        bound=lambda spec: 0.0,
+        lambda ctx: np.abs(_triple_rule_residual(ctx.spec.local_dim, ctx.order_sums)),
+        pure_only=True,
     ),
-    _Check(
-        "reconstruction-round-trip",
-        (1, 2, 3, 4),
-        False,
-        ROUND_TRIP_TOL,
-        evaluate=_round_trip_error,
-        bound=lambda spec: 0.0,
-    ),
+    _Check("reconstruction-round-trip", (1, 2, 3, 4), _round_trip_error, tol=ROUND_TRIP_TOL),
     *(
         _Check(
             f"separable-{label}",
             (4,),
-            False,
-            BOUND_TOL,
-            evaluate=lambda ctx, label=label: ctx.separable[label],
-            bound=lambda spec, label=label: separability_thresholds(spec.local_dim)[label],
+            lambda ctx, label=label: ctx.separable[label],
+            lambda spec, label=label: separability_thresholds(spec.local_dim)[label],
             separable=label,
         )
         for label in SEPARABLE_SPLITS

@@ -100,6 +100,11 @@ CLASS_SPLITS = {
 #: The classes of fewer than four parties, which no sweep check draws.
 SMALL_CLASSES = ("1-1", "1-2", "1-1-1")
 
+#: A finite, Hermitian 16 x 16 matrix of unit trace that is no state: 1e308 at 0, -1e308 at 8
+#: and 1 at 1 on the diagonal. Its Hermitian part ``0.5 (M + M^dagger)`` overflows if the sum
+#: is formed before the halving.
+PSD_OVERFLOW = np.diag([1e308, 1.0] + [0.0] * 6 + [-1e308] + [0.0] * 7)
+
 
 def party_count(label):
     """The party count of a separability class: the sum of the block sizes in its label."""

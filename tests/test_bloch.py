@@ -335,6 +335,10 @@ def test_wrong_length_coefficients_rejected():
         BlochTensor((1, 2), 2, np.zeros(8))
     with pytest.raises(TypeError):
         BlochTensor((1,), 2, np.array([0.5j, 0.0, 0.2]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError) as refused:
+            BlochTensor((1,), 2, [0.5, bad, 0.2])
+        assert str(refused.value) == "coefficients contain non-finite values (NaN or infinity)"
 
 
 def test_tensor_subset_validation():

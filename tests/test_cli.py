@@ -17,13 +17,21 @@ import pytest
 from blochbounds import state_to_json, ghz, isotropic_ghz4, DensityMatrix, sample_seed
 from blochbounds import cli, sweeps
 from blochbounds.cli import _dumps, _render_text, main
-from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS, UNREAD_PARAM_DOCS
+from conftest import MALFORMED_COMPLEX_DOCS, MALFORMED_SHAPE_DOCS, PSD_OVERFLOW, UNREAD_PARAM_DOCS
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_refused(capsys, *argv):
+    """The ``error:`` line of a refused command, after asserting exit 2, no output and one line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    return err
 
 
 def run_json(capsys, *argv):
@@ -351,18 +359,15 @@ def test_a_tuned_allocator_keeps_its_thresholds():
 def test_verify_refuses_oversized_dimensions_without_allocating(capsys):
     tracemalloc.start()
     try:
-        code, out, err = run_cli(
+        err = run_refused(
             capsys, "verify", "--d", "1000", "--parties", "4", "--samples", "1", "--seed", "0"
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "above the cap" in err
     assert peak < 4 << 20  # a d=1000, n=4 matrix would take 1.6e13 bytes
-    code, _, err = run_cli(capsys, "basis", "--d", "100000")
-    assert code == 2 and "above the cap" in err
+    assert "above the cap" in run_refused(capsys, "basis", "--d", "100000")
 
 
 @pytest.mark.parametrize(
@@ -378,9 +383,7 @@ def test_verify_refuses_oversized_dimensions_without_allocating(capsys):
 def test_verify_non_integer_count_or_seed_exits_two(capsys, flag, value):
     argv = {"--d": "2", "--parties": "2", "--samples": "3", "--seed": "0"}
     argv[flag] = value
-    code, out, err = run_cli(capsys, "verify", *[x for kv in argv.items() for x in kv])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    run_refused(capsys, "verify", *[x for kv in argv.items() for x in kv])
 
 
 def test_boolean_ensemble_weight_in_state_file_exits_two(capsys, tmp_path):
@@ -398,9 +401,7 @@ def test_boolean_ensemble_weight_in_state_file_exits_two(capsys, tmp_path):
     for doc in docs:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "decompose", "--state", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        err = run_refused(capsys, "decompose", "--state", str(path))
         assert "weight" in err
 
 
@@ -470,58 +471,25 @@ def test_verify_exits_one_when_a_derived_state_breaks(capsys, monkeypatch, targe
 
 
 def test_verify_rejects_inapplicable_check(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "verify",
-        "--d",
-        "2",
-        "--parties",
-        "2",
-        "--samples",
-        "5",
-        "--seed",
-        "1",
-        "--checks",
-        "fourpartite-norm-bound",
-    )
-    assert code == 2
-    assert err.startswith("error:")
+    argv = ["verify", "--d", "2", "--parties", "2", "--samples", "5", "--seed", "1"]
+    run_refused(capsys, *argv, "--checks", "fourpartite-norm-bound")
 
 
 def test_error_paths_exit_two(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "frobnicate")
-    assert code == 2 and err.startswith("error:")
-
+    run_refused(capsys, "frobnicate")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "classify", "--state", str(bad))
-    assert code == 2 and err.startswith("error:") and len(err.strip().splitlines()) == 1
-
-    code, _, err = run_cli(capsys, "classify", "--state", str(tmp_path / "gone.json"))
-    assert code == 2 and err.startswith("error:")
-
+    run_refused(capsys, "classify", "--state", str(bad))
+    run_refused(capsys, "classify", "--state", str(tmp_path / "gone.json"))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
-    code, out, err = run_cli(capsys, "decompose", "--state", str(deep))
-    assert code == 2 and out == "" and "nested too deeply" in err
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-
-    code, out, err = run_cli(capsys, "bounds", "--d", "1" + "0" * 52)
-    assert code == 2 and out == "" and "is too large" in err
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-
-    code, _, err = run_cli(capsys, "classify", "--builtin", "ghz", "--d", "2")
-    assert code == 2 and err.startswith("error:")
-
-    code, _, err = run_cli(capsys, "measure", "--builtin", "isotropic_ghz4", "--d", "2")
-    assert code == 2 and err.startswith("error:")
-
-    code, _, err = run_cli(capsys, "classify", "--builtin", "ghz", "--parties", "4")
-    assert code == 2 and err.startswith("error:")
-
+    assert "nested too deeply" in run_refused(capsys, "decompose", "--state", str(deep))
+    assert "is too large" in run_refused(capsys, "bounds", "--d", "1" + "0" * 52)
+    run_refused(capsys, "classify", "--builtin", "ghz", "--d", "2")
+    run_refused(capsys, "measure", "--builtin", "isotropic_ghz4", "--d", "2")
+    run_refused(capsys, "classify", "--builtin", "ghz", "--parties", "4")
     # wrong arity for the subcommand
-    code, _, err = run_cli(capsys, "classify", "--builtin", "ghz", "--d", "2", "--parties", "3")
-    assert code == 2 and err.startswith("error:")
+    run_refused(capsys, "classify", "--builtin", "ghz", "--d", "2", "--parties", "3")
 
 
 @pytest.mark.parametrize(
@@ -610,9 +578,7 @@ def test_a_closed_pipe_exits_two(argv, shared):
 )
 def test_verify_refuses_bad_selections_before_sampling(capsys, extra, message):
     argv = ["verify", "--d", "2", "--parties", "3", "--samples", "5", "--seed", "1", *extra]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    err = run_refused(capsys, *argv)
     assert message in err
 
 
@@ -622,54 +588,43 @@ def _state_file(tmp_path, text):
     return str(path)
 
 
-def test_fractional_dimension_in_state_file_exits_two(capsys, tmp_path):
-    doc = {"d": 2.7, "parties": 1, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]}
-    path = _state_file(tmp_path, json.dumps(doc))
-    code, out, err = run_cli(capsys, "decompose", "--state", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "must be an integer" in err
-
-
-def test_boolean_party_count_in_state_file_exits_two(capsys, tmp_path):
-    doc = {"d": 2, "parties": True, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]}
-    path = _state_file(tmp_path, json.dumps(doc))
-    code, out, err = run_cli(capsys, "decompose", "--state", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "must be an integer" in err
-
-
-def test_nan_amplitude_state_file_exits_two(capsys, tmp_path):
-    path = _state_file(
-        tmp_path,
-        '{"d": 2, "parties": 2, "kind": "pure", '
-        '"amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}',
-    )
-    code, out, err = run_cli(capsys, "measure", "--state", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "non-finite" in err and "Eigenvalues" not in err
-
-
 @pytest.mark.parametrize(
-    "doc, message",
+    "command, doc, message",
     [
         (
+            "decompose",
             {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[1.5, 0], [0, 0]]},
             "state vector norm 1.5 is not 1 within 1e-09",
         ),
         (
+            "decompose",
             {"d": 2, "parties": 1, "kind": "matrix", "matrix": [[[1.5, 0], [0, 0]], [[0, 0]] * 2]},
             "trace (1.5+0j) is not 1 within 1e-09",
         ),
-        # finite entries whose norm, trace or Hermitian deviation overflows: one error line,
-        # no numpy warning
         (
+            "decompose",
+            {"d": 2.7, "parties": 1, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]},
+            "local dimension must be an integer, got 2.7",
+        ),
+        (
+            "decompose",
+            {"d": 2, "parties": True, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]},
+            "party count must be an integer, got True",
+        ),
+        (
+            "measure",
+            {"d": 2, "parties": 2, "kind": "pure", "amplitudes": [[math.nan, 0]] + [[0, 0]] * 3},
+            "amplitudes contain non-finite values (NaN or infinity)",
+        ),
+        # finite entries whose norm, trace, Hermitian deviation or Hermitian part overflows:
+        # one error line, no numpy warning
+        (
+            "decompose",
             {"d": 2, "parties": 1, "kind": "pure", "amplitudes": [[1e200, 0], [0, 0]]},
             "state vector norm inf is not 1 within 1e-09",
         ),
         (
+            "decompose",
             {
                 "d": 2, "parties": 1, "kind": "matrix",
                 "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]],
@@ -677,20 +632,38 @@ def test_nan_amplitude_state_file_exits_two(capsys, tmp_path):
             "trace (inf+0j) is not 1 within 1e-09",
         ),
         (
+            "decompose",
             {
                 "d": 2, "parties": 1, "kind": "matrix",
                 "matrix": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]],
             },
             "matrix deviates from Hermitian by inf",
         ),
+        (
+            "decompose",
+            {
+                "d": 2, "parties": 4, "kind": "matrix",
+                "matrix": [[[x, 0] for x in row] for row in PSD_OVERFLOW.tolist()],
+            },
+            "matrix is not positive semidefinite: smallest eigenvalue -1.000e+308",
+        ),
     ],
-    ids=["vector-norm", "trace", "vector-norm-overflow", "trace-overflow", "hermitian-overflow"],
+    ids=[
+        "vector-norm",
+        "trace",
+        "fractional-dimension",
+        "boolean-party-count",
+        "nan-amplitude",
+        "vector-norm-overflow",
+        "trace-overflow",
+        "hermitian-overflow",
+        "hermitian-part-overflow",
+    ],
 )
 @pytest.mark.filterwarnings("error")
-def test_state_file_refusals_print_python_scalars(capsys, tmp_path, doc, message):
+def test_state_file_refusals_print_python_scalars(capsys, tmp_path, command, doc, message):
     path = _state_file(tmp_path, json.dumps(doc))
-    code, out, err = run_cli(capsys, "decompose", "--state", path)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, command, "--state", path) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["decompose", "classify", "tradeoff", "measure"])
@@ -729,9 +702,7 @@ def test_one_hermiticity_rule_for_every_state_command(capsys, tmp_path, command)
 @pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEX_DOCS))
 def test_malformed_complex_entries_in_state_file_exit_two(capsys, tmp_path, case):
     path = _state_file(tmp_path, json.dumps(MALFORMED_COMPLEX_DOCS[case]))
-    code, out, err = run_cli(capsys, "decompose", "--state", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    err = run_refused(capsys, "decompose", "--state", path)
     assert "JSON numbers" in err or "rectangular array" in err
 
 
@@ -739,9 +710,7 @@ def test_malformed_complex_entries_in_state_file_exit_two(capsys, tmp_path, case
 def test_fields_of_the_wrong_json_type_in_state_file_exit_two(capsys, tmp_path, case):
     doc, field = MALFORMED_SHAPE_DOCS[case]
     path = _state_file(tmp_path, json.dumps(doc))
-    code, out, err = run_cli(capsys, "decompose", "--state", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    err = run_refused(capsys, "decompose", "--state", path)
     assert f"{field} must be" in err
 
 
@@ -757,8 +726,7 @@ def test_failed_decompose_writes_no_dump(capsys, tmp_path):
     dump.unlink()
     # valid as a state, refused later: no dump
     argv = ["decompose", "--builtin", "ghz", "--d", "2", "--parties", "2", "--subset", "3"]
-    code, out, err = run_cli(capsys, *argv, "--dump-state", str(dump))
-    assert code == 2 and out == "" and "not contained" in err
+    assert "not contained" in run_refused(capsys, *argv, "--dump-state", str(dump))
     assert not dump.exists()
 
 
@@ -774,9 +742,7 @@ def test_failed_decompose_writes_no_dump(capsys, tmp_path):
 def test_empty_values_exit_two_with_one_line(capsys, tmp_path, monkeypatch, argv, message):
     # an empty value is a value: it is refused, not read as the flag left out
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, "decompose", *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    err = run_refused(capsys, "decompose", *argv)
     assert message in err and err.rstrip().endswith("''")
     assert list(tmp_path.iterdir()) == []
 
@@ -784,11 +750,7 @@ def test_empty_values_exit_two_with_one_line(capsys, tmp_path, monkeypatch, argv
 def test_state_and_builtin_are_mutually_exclusive(capsys, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(state_to_json(isotropic_ghz4(0.5, 2))))
-    code, _, err = run_cli(
-        capsys, "classify", "--state", str(path), "--builtin", "ghz"
-    )
-    assert code == 2
-    assert err.startswith("error:")
+    run_refused(capsys, "classify", "--state", str(path), "--builtin", "ghz")
 
 
 @pytest.mark.parametrize(
@@ -809,9 +771,7 @@ def test_state_flags_the_state_does_not_take_exit_two(capsys, tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(json.dumps(state_to_json(isotropic_ghz4(0.5, 2))))
     for command in ("classify", "decompose"):
-        code, out, err = run_cli(capsys, command, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        err = run_refused(capsys, command, *argv)
         assert message in err
 
 
@@ -868,13 +828,9 @@ BUILTIN_ACCEPTS = {
 def test_builtin_flags_and_documents_refuse_alike(capsys, tmp_path, case):
     # the flags are the document's keys, so both routes refuse in the document's words
     argv, doc = BUILTIN_REFUSALS[case]
-    code, out, flags_err = run_cli(capsys, "classify", *argv)
-    assert code == 2 and out == ""
-    assert flags_err.startswith("error:") and len(flags_err.strip().splitlines()) == 1
+    flags_err = run_refused(capsys, "classify", *argv)
     path = _state_file(tmp_path, json.dumps(doc))
-    code, out, doc_err = run_cli(capsys, "classify", "--state", path)
-    assert code == 2 and out == ""
-    assert flags_err == doc_err
+    assert run_refused(capsys, "classify", "--state", path) == flags_err
 
 
 @pytest.mark.parametrize("case", sorted(BUILTIN_ACCEPTS))
@@ -893,9 +849,7 @@ def test_builtin_flags_and_documents_give_the_same_report(capsys, tmp_path, case
 def test_state_documents_with_params_the_builtin_does_not_read_exit_two(capsys, tmp_path, case):
     doc, message = UNREAD_PARAM_DOCS[case]
     path = _state_file(tmp_path, json.dumps(doc))
-    code, out, err = run_cli(capsys, "decompose", "--state", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    err = run_refused(capsys, "decompose", "--state", path)
     assert message in err
 
 

@@ -24,7 +24,7 @@ from blochbounds import (
     haar_random_unitary,
     random_separable,
 )
-from conftest import loop_partial_trace
+from conftest import PSD_OVERFLOW, loop_partial_trace
 
 
 def test_from_pure_basis_state():
@@ -391,6 +391,10 @@ _TRACE_OVERFLOW, _OVERFLOWED_TRACE = _overflowing_trace()
             lambda: DensityMatrix(_TRACE_OVERFLOW, 2, 4),
             f"trace {_OVERFLOWED_TRACE!r} is not 1 within 1e-09",
         ),
+        (
+            lambda: DensityMatrix(PSD_OVERFLOW, 2, 4),
+            "matrix is not positive semidefinite: smallest eigenvalue -1.000e+308",
+        ),
     ],
     ids=[
         "purity-above-one",
@@ -406,6 +410,7 @@ _TRACE_OVERFLOW, _OVERFLOWED_TRACE = _overflowing_trace()
         "trace-overflow",
         "hermitian-overflow",
         "trace-of-opposite-infinities",
+        "hermitian-part-overflow",
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -516,6 +516,11 @@ def test_round_trip_check_uses_tighter_tolerance():
     report = run_sweep(spec, checks=["reconstruction-round-trip"])
     assert report.outcome("reconstruction-round-trip").tolerance == 1e-10
     assert report.passed
+    # every other check compares with the tolerance classify excludes by
+    report = run_sweep(SampleSpec(2, 4, PURE_HAAR, 1, base_seed=13))
+    tolerances = {o.name: o.tolerance for o in report.checks}
+    assert tolerances.pop("reconstruction-round-trip") == 1e-10
+    assert set(tolerances.values()) == {1e-9}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
